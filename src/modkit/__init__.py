@@ -15,7 +15,7 @@ from .bounds import (
 )
 from .exact import ExactResult, exact_cut, exact_full
 from .graph import Graph, GraphFormatError, degrees, parse_edge_list, render_edge_list
-from .modularity import Partition, QMatrix, build_q, modularity, q_split
+from .modularity import Partition, QMatrix, build_q, modularity
 from .rounding import (
     GuaranteeReport,
     RoundingOutcome,
@@ -63,7 +63,6 @@ __all__ = [
     "hyperplane_round",
     "modularity",
     "parse_edge_list",
-    "q_split",
     "render_edge_list",
     "round_cut",
     "round_full",

@@ -7,7 +7,8 @@ Reports are deterministic: identical configuration (seed included) yields
 byte-identical output files. Floats are serialized with 17 significant
 digits so that determinism is byte-testable.
 
-Exit codes: 0 success, 2 validation/usage error, 3 solver non-convergence.
+Exit codes: 0 success, 2 validation/usage error (an unreadable input or an
+unwritable output or iterate-log path included), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return _run_bounds(args)
         parser.error(f"unknown command {args.command}")
-    except (GraphFormatError, ValueError) as exc:
+    except (GraphFormatError, ValueError, OSError) as exc:
         print(f"modkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

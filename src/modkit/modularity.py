@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import Graph, degrees
 
-__all__ = ["QMatrix", "Partition", "build_q", "modularity", "q_split"]
+__all__ = ["QMatrix", "Partition", "build_q", "modularity"]
 
 # Entry sums of a valid coefficient matrix vanish; tolerance scales with n^2.
 _SUM_TOL = 1e-12
@@ -164,13 +164,3 @@ def modularity(qm: QMatrix, p: Partition) -> float:
     ind = np.zeros((qm.n, p.k))
     ind[np.arange(qm.n), labels] = 1.0
     return float(((qm.entries @ ind) * ind).sum())
-
-
-def q_split(qm: QMatrix):
-    """Index pairs of the nonnegative and negative coefficient entries.
-
-    Returns (pos_pairs, neg_pairs) as integer arrays of shape (count, 2);
-    the entry sums over the two sets are +q_mass and -q_mass.
-    """
-    mask = qm.entries >= 0
-    return np.argwhere(mask), np.argwhere(~mask)

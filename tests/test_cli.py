@@ -111,6 +111,22 @@ class TestSolve:
         seed_b = json.loads(out_b.read_text())["config"]["seed"]
         assert seed_a != seed_b  # 64-bit collision is not a realistic concern
 
+    def test_unwritable_output(self, k2_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        for command in ("solve", "cut"):
+            code = main([command, "--input", k2_file, "--trials", "5",
+                         "--output", str(out)])
+            assert code == 2
+            assert "modkit: error:" in capsys.readouterr().err
+
+    def test_unwritable_iterate_log(self, k2_file, tmp_path, capsys):
+        log = tmp_path / "missing" / "log.csv"
+        for command in ("solve", "cut"):
+            code = main([command, "--input", k2_file, "--trials", "5",
+                         "--iterate-log", str(log)])
+            assert code == 2
+            assert "modkit: error:" in capsys.readouterr().err
+
     def test_iterate_log_written(self, k2_file, tmp_path):
         log = tmp_path / "iters.csv"
         main(["solve", "--input", k2_file, "--iterate-log", str(log),

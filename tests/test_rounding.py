@@ -17,6 +17,7 @@ from modkit import (
     solve_cut_sdp,
     solve_full_sdp,
 )
+from modkit.rounding import _TRIAL_BLOCK, _best_of_trials
 
 import fixtures
 
@@ -134,16 +135,6 @@ class TestRoundFull:
         assert a_best.partition == b_best.partition
         assert a_rep == b_rep
 
-    def test_worker_pool_matches_sequential(self, monkeypatch):
-        qm = build_q(fixtures.two_triangle_bridge())
-        sol = solve_full_sdp(qm)
-        monkeypatch.delenv("MODKIT_THREADS", raising=False)
-        seq_best, seq_rep = round_full(qm, sol, trials=40, seed=11)
-        monkeypatch.setenv("MODKIT_THREADS", "4")
-        par_best, par_rep = round_full(qm, sol, trials=40, seed=11)
-        assert seq_best.partition == par_best.partition
-        assert seq_rep == par_rep
-
     def test_expectation_floor_holds(self):
         # sample mean over many trials sits above the guaranteed floor
         qm = build_q(fixtures.two_triangle_bridge())
@@ -219,3 +210,107 @@ class TestRoundCut:
         plus, _ = bounds.cut_envelopes(float(np.clip(2 * sol.z_plus - 1, -1, 1)))
         _, minus = bounds.cut_envelopes(float(np.clip(-1 - 2 * sol.z_minus, -1, 1)))
         assert report.expectation_floor == pytest.approx(plus + minus, abs=1e-15)
+
+
+# Trial counts around the block boundary of the batched best-of-trials path.
+BLOCK_COUNTS = (1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1)
+SEEDS = (0, 5, 2**64 - 1)
+
+
+def _loop_bests(qm, emb, k, seed, counts):
+    """Per-trial reference: the best of the first c hyperplane_round trials
+    for each c in ``counts``, a later trial winning only on a strictly
+    greater score."""
+    bests = {}
+    best = None
+    for t in range(max(counts)):
+        out = hyperplane_round(qm, emb, k, seed, trial=t)
+        if best is None or out.score > best.score:
+            best = out
+        if t + 1 in counts:
+            bests[t + 1] = best
+    return bests
+
+
+def _same_outcome(got, want):
+    assert got.partition == want.partition
+    assert got.score == want.score
+    assert got.trial_seed == want.trial_seed
+    assert got.k_used == want.k_used
+
+
+FIXTURES = {
+    "tri2": fixtures.two_triangle_bridge,
+    "petersen": fixtures.petersen,
+    "w_path": fixtures.weighted_two_path,
+    "d_cycle": fixtures.directed_cycle,
+    "b_path4": fixtures.bipartite_path4,
+    "c4": lambda: fixtures.cycle_graph(4),
+}
+SOLVERS = {"full": solve_full_sdp, "cut": solve_cut_sdp}
+
+
+def _relaxed(name, kind):
+    qm = build_q(FIXTURES[name]())
+    sol = SOLVERS[kind](qm)
+    return qm, sol, gram_vectors(sol)
+
+
+class TestBatchedMatchesPerTrial:
+    @pytest.mark.parametrize(
+        "name, kind", [(name, "full") for name in FIXTURES] + [("c4", "cut")]
+    )
+    def test_block_boundaries_every_k(self, name, kind):
+        qm, _, emb = _relaxed(name, kind)
+        for k in (1, 2, 3, 4):
+            for seed in SEEDS:
+                want = _loop_bests(qm, emb, k, seed, BLOCK_COUNTS)
+                for trials in BLOCK_COUNTS:
+                    got = _best_of_trials(qm, emb, k, trials, seed)
+                    _same_outcome(got, want[trials])
+
+    def test_winners_past_the_first_block(self):
+        qm, _, emb = _relaxed("petersen", "full")
+        late = 0
+        for k in (1, 2, 3, 4):
+            for seed in SEEDS:
+                want = _loop_bests(qm, emb, k, seed, (2000,))[2000]
+                _same_outcome(_best_of_trials(qm, emb, k, 2000, seed), want)
+                late += want.trial_seed[1] >= _TRIAL_BLOCK
+        # later blocks must draw their own trials' streams, so some winner
+        # has to come from one of them for this test to check that
+        assert late > 0
+
+    def test_identical_vectors_keep_the_first_trial(self):
+        # every trial yields the single cluster, so every later trial ties
+        qm = build_q(fixtures.cycle_graph(4))
+        emb = VectorEmbedding(vectors=np.ones((4, 1)))
+        for k in (1, 2, 3, 4):
+            for seed in SEEDS:
+                for trials in BLOCK_COUNTS + (2000,):
+                    best = _best_of_trials(qm, emb, k, trials, seed)
+                    assert best.trial_seed == (seed, 0)
+                    assert best.partition.k == 1
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_round_full(self, name):
+        qm, sol, emb = _relaxed(name, "full")
+        k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.n)
+        counts = BLOCK_COUNTS + (2000,)
+        for seed in SEEDS:
+            want = _loop_bests(qm, emb, k_star, seed, counts)
+            for trials in counts:
+                best, report = round_full(qm, sol, trials=trials, seed=seed)
+                _same_outcome(best, want[trials])
+                assert report.best_score == want[trials].score
+
+    @pytest.mark.parametrize("name", ["tri2", "petersen", "w_path", "c4"])
+    def test_round_cut(self, name):
+        qm, sol, emb = _relaxed(name, "cut")
+        counts = BLOCK_COUNTS + (2000,)
+        for seed in SEEDS:
+            want = _loop_bests(qm, emb, 1, seed, counts)
+            for trials in counts:
+                best, report = round_cut(qm, sol, trials=trials, seed=seed)
+                _same_outcome(best, want[trials])
+                assert report.best_score == want[trials].score
