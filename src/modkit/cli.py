@@ -14,6 +14,8 @@ unwritable output or iterate-log path included), 3 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import secrets
 import sys
 
@@ -61,12 +63,12 @@ def dumps_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, path: str | None):
+def _open_output(path: str | None):
+    """The report stream: stdout for no path or "-", else the file at
+    ``path``, opened (and so checked) when this is called."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _load_graph(args):
@@ -107,67 +109,69 @@ def _config_echo(args, command: str, seed: int) -> dict:
         "tol_obj": args.tol_obj,
         "max_iters": args.max_iters,
         "penalty": args.penalty,
-        "format": args.format,
+        "format": "json",
     }
 
 
 def _run_rounding_command(args, command: str) -> int:
-    if args.format != "json":
-        raise GraphFormatError(f"the {command} command emits json, not {args.format}")
     graph = _load_graph(args)
     qm = build_q(graph)
     opts = _solver_options(args)
     seed = _resolve_seed(args)
-    if command == "solve":
-        sol = solve_full_sdp(qm, opts)
-        best, report = round_full(qm, sol, trials=args.trials, seed=seed)
-    else:
-        sol = solve_cut_sdp(qm, opts)
-        best, report = round_cut(qm, sol, trials=args.trials, seed=seed)
+    # checked here as well as by the rounding, so that a bad trial count or
+    # output path fails before the solve instead of after it
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    with _open_output(args.output) as out:
+        if command == "solve":
+            sol = solve_full_sdp(qm, opts)
+            best, report = round_full(qm, sol, trials=args.trials, seed=seed)
+        else:
+            sol = solve_cut_sdp(qm, opts)
+            best, report = round_cut(qm, sol, trials=args.trials, seed=seed)
 
-    payload = {
-        "config": _config_echo(args, command, seed),
-        "graph": {"n": graph.n, "m": graph.m, "variant": graph.variant,
-                  "scale": qm.scale},
-        "solver": {
-            "kind": sol.kind,
-            "iterations": sol.iterations,
-            "primal_residual": sol.primal_residual,
-            "dual_residual": sol.dual_residual,
-            "converged": sol.converged,
-        },
-        "report": report.to_dict(),
-        "partition": {
-            "k": best.partition.k,
-            "assign": list(best.partition.assign),
-        },
-    }
-    _write_output(dumps_report(payload), args.output)
+        payload = {
+            "config": _config_echo(args, command, seed),
+            "graph": {"n": graph.n, "m": graph.m, "variant": graph.variant,
+                      "scale": qm.scale},
+            "solver": {
+                "kind": sol.kind,
+                "iterations": sol.iterations,
+                "primal_residual": sol.primal_residual,
+                "dual_residual": sol.dual_residual,
+                "converged": sol.converged,
+            },
+            "report": dataclasses.asdict(report),
+            "partition": {
+                "k": best.partition.k,
+                "assign": list(best.partition.assign),
+            },
+        }
+        out.write(dumps_report(payload))
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
 def _run_exact(args) -> int:
-    if args.format != "json":
-        raise GraphFormatError(f"the exact command emits json, not {args.format}")
     graph = _load_graph(args)
     qm = build_q(graph)
     if args.problem == "full":
-        result = exact_full(qm, limit=args.limit if args.limit else FULL_LIMIT)
+        result = exact_full(qm, limit=FULL_LIMIT if args.limit is None else args.limit)
     else:
-        result = exact_cut(qm, limit=args.limit if args.limit else CUT_LIMIT)
+        result = exact_cut(qm, limit=CUT_LIMIT if args.limit is None else args.limit)
     payload = {
         "config": {
             "command": "exact",
             "input": args.input,
             "variant": args.variant,
             "problem": args.problem,
-            "format": args.format,
+            "format": "json",
         },
         "opt": result.opt_value,
         "partition": list(result.opt_partition.assign),
         "enumerated": result.enumerated,
     }
-    _write_output(dumps_report(payload), args.output)
+    with _open_output(args.output) as out:
+        out.write(dumps_report(payload))
     return EXIT_OK
 
 
@@ -198,15 +202,14 @@ def _figure_rows(figure: int, samples: int, k_max: int):
 
 
 def _run_bounds(args) -> int:
-    if args.format != "csv":
-        raise GraphFormatError(f"the bounds command emits csv, not {args.format}")
     if args.samples < 1:
         raise GraphFormatError("samples must be at least 1")
     meta, header, table = _figure_rows(args.figure, args.samples, args.k_max)
     lines = meta + [",".join(header)]
     for row in table:
         lines.append(",".join(format(v, ".17g") for v in row))
-    _write_output("\n".join(lines) + "\n", args.output)
+    with _open_output(args.output) as out:
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -243,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="CSV file receiving per-iteration solver diagnostics",
             )
-            p.add_argument("--format", default="json", choices=["json", "csv"])
-        else:
-            p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p_solve = sub.add_parser("solve", help="full relaxation + adaptive rounding")
     add_graph_args(p_solve, with_rounding=True)
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--samples", type=int, default=1000)
     p_bounds.add_argument("--k-max", dest="k_max", type=int, default=bounds.K_CAP)
     p_bounds.add_argument("--output", default=None)
-    p_bounds.add_argument("--format", default="csv", choices=["json", "csv"])
 
     return parser
 

@@ -9,6 +9,10 @@ edge-list text format is whitespace-separated lines ``i j [w]`` with
     # bipartite-left: i1 i2 ...   side labels for the bipartite variant
 
 Blank lines are ignored. Graphs are immutable after construction.
+
+:class:`Graph` is the one validator: every graph, parsed or built
+directly, passes its checks. The parser only parses, and names the line of
+any edge that :class:`Graph` rejects.
 """
 
 from __future__ import annotations
@@ -28,12 +32,18 @@ __all__ = [
 
 VARIANTS = ("undirected", "weighted", "directed", "bipartite")
 
-# Variants whose edges are unordered pairs stored once.
-_UNDIRECTED_LIKE = ("undirected", "weighted", "bipartite")
-
 
 class GraphFormatError(ValueError):
-    """Raised for malformed edge-list text or invariant violations."""
+    """Raised for malformed edge-list text or invariant violations.
+
+    ``edges`` holds the indices of the offending edges, empty when the
+    error is not about particular edges. For a duplicate it holds the
+    first occurrence, then the repeat.
+    """
+
+    def __init__(self, message: str, edges: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.edges = edges
 
 
 @dataclass(frozen=True)
@@ -72,26 +82,31 @@ class Graph:
         elif self.part is not None:
             raise GraphFormatError("side labels are only valid for bipartite graphs")
 
-        seen = set()
-        for i, j, w in self.edges:
+        seen = {}
+        for e, (i, j, w) in enumerate(self.edges):
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphFormatError(f"edge ({i}, {j}) out of range for n={self.n}")
+                raise GraphFormatError(
+                    f"edge ({i}, {j}) out of range for n={self.n}", (e,)
+                )
             if i == j:
-                raise GraphFormatError(f"self-loop at vertex {i} is not allowed")
-            if w <= 0:
-                raise GraphFormatError(f"edge ({i}, {j}) has non-positive weight {w}")
+                raise GraphFormatError(f"self-loop at vertex {i} is not allowed", (e,))
+            if not 0 < w < np.inf:
+                raise GraphFormatError(
+                    f"edge ({i}, {j}) has non-positive or non-finite weight {w}", (e,)
+                )
             if self.variant != "weighted" and w != 1.0:
                 raise GraphFormatError(
                     f"edge ({i}, {j}) carries weight {w}; only the weighted "
-                    "variant admits weights other than 1"
+                    "variant admits weights other than 1",
+                    (e,),
                 )
             key = (i, j) if self.variant == "directed" else (min(i, j), max(i, j))
             if key in seen:
-                raise GraphFormatError(f"duplicate edge ({i}, {j})")
-            seen.add(key)
+                raise GraphFormatError(f"duplicate edge ({i}, {j})", (seen[key], e))
+            seen[key] = e
             if self.variant == "bipartite" and self.part[i] == self.part[j]:
                 raise GraphFormatError(
-                    f"edge ({i}, {j}) joins two {self.part[i]} vertices"
+                    f"edge ({i}, {j}) joins two {self.part[i]} vertices", (e,)
                 )
 
     @property
@@ -125,15 +140,12 @@ def _parse_headers(lines):
 def parse_edge_list(text: str, variant: str = "undirected") -> Graph:
     """Parse edge-list text into a validated :class:`Graph`.
 
-    Rejects self-loops, duplicate edges, non-positive weights, edges within
-    one side of a bipartite graph, and empty edge sets, reporting the
-    offending line number where one exists.
+    A malformed line, a bad header or an empty edge set is rejected here;
+    an edge that :class:`Graph` rejects is reported with its line number.
     """
-    if variant not in VARIANTS:
-        raise GraphFormatError(f"unknown variant {variant!r}")
-
+    lines = []
+    edges = []
     header_lines = []
-    data = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -148,25 +160,20 @@ def parse_edge_list(text: str, variant: str = "undirected") -> Graph:
             i, j = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: vertex ids must be integers")
-        if i < 0 or j < 0:
-            raise GraphFormatError(f"line {lineno}: vertex ids must be non-negative")
-        if i == j:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {i}")
         w = 1.0
         if len(tokens) == 3:
             try:
                 w = float(tokens[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad weight {tokens[2]!r}")
-            if w <= 0:
-                raise GraphFormatError(f"line {lineno}: non-positive weight {w}")
-        data.append((lineno, i, j, w))
+        lines.append(lineno)
+        edges.append((i, j, w))
 
-    if not data:
+    if not edges:
         raise GraphFormatError("no edges: modularity needs m >= 1")
 
     n_header, left_header = _parse_headers(header_lines)
-    max_index = max(max(i, j) for _, i, j, _ in data)
+    max_index = max(max(i, j) for i, j, _ in edges)
     n = n_header if n_header is not None else max_index + 1
     if n <= max_index:
         raise GraphFormatError(
@@ -183,26 +190,16 @@ def parse_edge_list(text: str, variant: str = "undirected") -> Graph:
             raise GraphFormatError("bipartite-left header lists an out-of-range vertex")
         part = tuple("left" if v in left_header else "right" for v in range(n))
 
-    seen = {}
-    for lineno, i, j, w in data:
-        key = (i, j) if variant == "directed" else (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphFormatError(
-                f"line {lineno}: duplicate edge ({i}, {j}), first seen on "
-                f"line {seen[key]}"
-            )
-        seen[key] = lineno
-        if variant == "bipartite" and part[i] == part[j]:
-            raise GraphFormatError(
-                f"line {lineno}: edge ({i}, {j}) joins two {part[i]} vertices"
-            )
-        if variant != "weighted" and w != 1.0:
-            raise GraphFormatError(
-                f"line {lineno}: weight {w} is not allowed for the {variant} variant"
-            )
-
-    edges = tuple((i, j, w) for _, i, j, w in data)
-    return Graph(n=n, edges=edges, variant=variant, part=part)
+    try:
+        return Graph(n=n, edges=edges, variant=variant, part=part)
+    except GraphFormatError as exc:
+        if not exc.edges:
+            raise
+        *first, last = (lines[e] for e in exc.edges)
+        where = f"line {last}: {exc}"
+        if first:
+            where += f", first seen on line {first[0]}"
+        raise GraphFormatError(where, exc.edges) from None
 
 
 def render_edge_list(g: Graph) -> str:

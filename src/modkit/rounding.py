@@ -88,20 +88,6 @@ class GuaranteeReport:
     trials: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "upper_bound": self.upper_bound,
-            "q_mass": self.q_mass,
-            "z_plus": self.z_plus,
-            "z_minus": self.z_minus,
-            "k_star": self.k_star,
-            "expectation_floor": self.expectation_floor,
-            "additive_certificate": self.additive_certificate,
-            "best_score": self.best_score,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # Counter-based stream: independent per trial, reproducible per seed.
@@ -148,11 +134,14 @@ def hyperplane_round(
     )
 
 
-def _best_of_trials(qm, emb, k, trials, seed):
-    """The first of trials 0..trials-1 with the greatest score, each trial
-    as ``hyperplane_round(qm, emb, k, seed, trial)`` would round it."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+def _trial_blocks(qm, emb, k, trials, seed):
+    """Round trials 0..trials-1 as ``hyperplane_round(qm, emb, k, seed,
+    trial)`` would, in blocks of at most ``_TRIAL_BLOCK``.
+
+    Yields each block's first trial, its cluster codes (one row per trial,
+    one integer per vertex; equal codes share a cluster) and its scores,
+    each within 2 * n**2 * eps of the ``modularity`` of its partition.
+    """
     # One generator, reset to trial t's counter with an empty buffer, draws
     # what _trial_rng(seed, t) would, without building a generator per trial.
     bitgen = np.random.Philox(key=seed)
@@ -160,10 +149,6 @@ def _best_of_trials(qm, emb, k, trials, seed):
     state = bitgen.state
     counter = state["state"]["counter"]
     bits = 1 << np.arange(k)
-    tol = _RESCORE_TOL * qm.n * qm.n
-
-    best = None
-    top = -np.inf
     for start in range(0, trials, _TRIAL_BLOCK):
         size = min(_TRIAL_BLOCK, trials - start)
         dirs = np.empty((size, k, emb.dim))
@@ -176,7 +161,18 @@ def _best_of_trials(qm, emb, k, trials, seed):
         # a vertex's k sign bits as one integer: its cluster code
         codes = signs @ bits
         same = codes[:, :, None] == codes[:, None, :]
-        scores = np.einsum("tij,ij->t", same, qm.entries)
+        yield start, codes, np.einsum("tij,ij->t", same, qm.entries)
+
+
+def _best_of_trials(qm, emb, k, trials, seed):
+    """The first of trials 0..trials-1 with the greatest score, each trial
+    as ``hyperplane_round(qm, emb, k, seed, trial)`` would round it."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    tol = _RESCORE_TOL * qm.n * qm.n
+    best = None
+    top = -np.inf
+    for start, codes, scores in _trial_blocks(qm, emb, k, trials, seed):
         top = max(top, scores.max())
         near = np.flatnonzero(scores >= top - tol)
         _, first = np.unique(codes[near], axis=0, return_index=True)

@@ -19,7 +19,6 @@ inputs and options.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ class SdpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
-    wallclock: float
     converged: bool
 
     def __post_init__(self):
@@ -196,10 +194,8 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     converged=False; the caller decides what to do with it.
     """
     opts = opts or SolverOptions()
-    t0 = time.perf_counter()
     x, iters, r_inf, s_inf, converged = _admm(qm.entries, nonneg=True, opts=opts)
     x = _repair(x, nonneg=True)
-    wall = time.perf_counter() - t0
 
     pos = qm.entries >= 0
     z_plus = float((qm.entries * x)[pos].sum()) / qm.q_mass
@@ -214,7 +210,6 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
         iterations=iters,
         primal_residual=r_inf,
         dual_residual=s_inf,
-        wallclock=wall,
         converged=converged,
     )
 
@@ -232,12 +227,10 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
             f"graphs, not {qm.variant!r}"
         )
     opts = opts or SolverOptions()
-    t0 = time.perf_counter()
     # <Q, (X+1)/2> and <Q, X> differ by the constant sum(Q)/2 = 0, so the
     # same linear term drives the iteration.
     x, iters, r_inf, s_inf, converged = _admm(qm.entries, nonneg=False, opts=opts)
     x = _repair(x, nonneg=False)
-    wall = time.perf_counter() - t0
 
     shifted = x + 1.0
     z_plus = float((qm.coupling * shifted).sum()) / 2.0
@@ -252,7 +245,6 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
         iterations=iters,
         primal_residual=r_inf,
         dual_residual=s_inf,
-        wallclock=wall,
         converged=converged,
     )
 

@@ -28,7 +28,6 @@ from modkit import (
     exact_cut,
     exact_full,
     gram_vectors,
-    hyperplane_round,
     round_cut,
     round_full,
     select_k_star,
@@ -37,6 +36,7 @@ from modkit import (
 )
 from modkit.bounds import CONSTANTS
 from modkit.cli import main as cli_main
+from modkit.rounding import _trial_blocks
 
 import fixtures
 
@@ -192,11 +192,8 @@ def test_c04_full_expectation_floors(solved_full):
         g, qm, sol, _ = by_name[name]
         emb = gram_vectors(sol)
         k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.n)
-        scores = np.array(
-            [
-                hyperplane_round(qm, emb, k_star, seed=2024, trial=t).score
-                for t in range(10_000)
-            ]
+        scores = np.concatenate(
+            [s for _, _, s in _trial_blocks(qm, emb, k_star, 10_000, seed=2024)]
         )
         _, rep = round_full(qm, sol, trials=1, seed=2024)
         slack = 3.0 * scores.std(ddof=1) / 100.0
@@ -237,11 +234,8 @@ def test_c05_cut_expectation_floors(solved_cut):
     for name in FLOOR_FIXTURES_CUT:
         g, qm, sol, _ = by_name[name]
         emb = gram_vectors(sol)
-        scores = np.array(
-            [
-                hyperplane_round(qm, emb, 1, seed=909, trial=t).score
-                for t in range(10_000)
-            ]
+        scores = np.concatenate(
+            [s for _, _, s in _trial_blocks(qm, emb, 1, 10_000, seed=909)]
         )
         _, rep = round_cut(qm, sol, trials=1, seed=909)
         slack = 3.0 * scores.std(ddof=1) / 100.0

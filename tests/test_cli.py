@@ -92,7 +92,12 @@ class TestSolve:
         assert "self-loop" in capsys.readouterr().err
 
     def test_csv_format_rejected(self, tri2_file):
-        assert main(["solve", "--input", tri2_file, "--format", "csv"]) == 2
+        # each command emits one format and takes no --format flag
+        for command in ("solve", "cut", "exact"):
+            for fmt in ("csv", "json"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--input", tri2_file, "--format", fmt])
+                assert exc.value.code == 2
 
     def test_out_of_range_seed_rejected(self, tri2_file, capsys):
         assert main(["solve", "--input", tri2_file, "--seed", "-5"]) == 2
@@ -112,12 +117,26 @@ class TestSolve:
         assert seed_a != seed_b  # 64-bit collision is not a realistic concern
 
     def test_unwritable_output(self, k2_file, tmp_path, capsys):
+        # the output is opened before the solve, which never writes its log
         out = tmp_path / "missing" / "r.json"
+        log = tmp_path / "log.csv"
         for command in ("solve", "cut"):
             code = main([command, "--input", k2_file, "--trials", "5",
-                         "--output", str(out)])
+                         "--output", str(out), "--iterate-log", str(log)])
             assert code == 2
             assert "modkit: error:" in capsys.readouterr().err
+            assert not log.exists()
+
+    def test_zero_trials_rejected_before_solve(self, k2_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        log = tmp_path / "log.csv"
+        for command in ("solve", "cut"):
+            code = main([command, "--input", k2_file, "--trials", "0",
+                         "--output", str(out), "--iterate-log", str(log)])
+            assert code == 2
+            assert "trials must be at least 1" in capsys.readouterr().err
+            assert not log.exists()
+            assert not out.exists()
 
     def test_unwritable_iterate_log(self, k2_file, tmp_path, capsys):
         log = tmp_path / "missing" / "log.csv"
@@ -177,6 +196,13 @@ class TestExact:
         path.write_text(render_edge_list(fixtures.cycle_graph(13)))
         assert main(["exact", "--input", str(path)]) == 2
         assert "Bell" in capsys.readouterr().err
+        # an explicit limit of 0 is a limit, not the default
+        path = tmp_path / "c6.txt"
+        path.write_text(render_edge_list(fixtures.cycle_graph(6)))
+        for problem in ("full", "cut"):
+            assert main(["exact", "--input", str(path), "--problem", problem,
+                         "--limit", "0"]) == 2
+            assert "exceeds the enumeration limit 0" in capsys.readouterr().err
 
 
 class TestBounds:
@@ -215,7 +241,11 @@ class TestBounds:
         assert exc.value.code == 2
 
     def test_json_format_rejected(self):
-        assert main(["bounds", "--figure", "1", "--format", "json"]) == 2
+        # bounds emits csv only and takes no --format flag
+        for fmt in ("json", "csv"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bounds", "--figure", "1", "--format", fmt])
+            assert exc.value.code == 2
 
 
 class TestUsage:

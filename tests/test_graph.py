@@ -13,36 +13,59 @@ class TestParse:
         assert g.variant == "undirected"
 
     def test_self_loop_rejected_with_line(self):
-        with pytest.raises(GraphFormatError, match="line 1"):
+        with pytest.raises(GraphFormatError, match="line 1: self-loop"):
             parse_edge_list("0 0", "undirected")
-        with pytest.raises(GraphFormatError, match="line 3"):
+        with pytest.raises(GraphFormatError, match="line 3: self-loop"):
             parse_edge_list("0 1\n1 2\n2 2", "undirected")
+        with pytest.raises(GraphFormatError, match=r"line 2: edge \(-1, 2\) out of"):
+            parse_edge_list("0 1\n-1 2", "undirected")
+        with pytest.raises(GraphFormatError, match=r"line 3: edge \(1, -2\) out of"):
+            parse_edge_list("# n: 3\n0 1\n1 -2", "directed")
 
     def test_weighted_total(self):
         g = parse_edge_list("0 1 2.5\n1 2 0.5", "weighted")
         assert g.total_weight == pytest.approx(3.0)
 
     def test_duplicate_undirected_rejected(self):
-        with pytest.raises(GraphFormatError, match="duplicate"):
+        with pytest.raises(
+            GraphFormatError,
+            match=r"^line 2: duplicate edge \(1, 0\), first seen on line 1$",
+        ):
             parse_edge_list("0 1\n1 0", "undirected")
+        with pytest.raises(
+            GraphFormatError,
+            match=r"^line 6: duplicate edge \(2, 1\), first seen on line 2$",
+        ):
+            parse_edge_list("0 1\n1 2\n\n# note\n2 3\n2 1", "undirected")
 
     def test_duplicate_directed_arc_rejected(self):
-        with pytest.raises(GraphFormatError, match="duplicate"):
-            parse_edge_list("0 1\n0 1", "directed")
+        with pytest.raises(
+            GraphFormatError,
+            match=r"^line 3: duplicate edge \(0, 1\), first seen on line 1$",
+        ):
+            parse_edge_list("0 1\n1 0\n0 1", "directed")
 
     def test_antiparallel_arcs_allowed(self):
         g = parse_edge_list("0 1\n1 0", "directed")
         assert g.m == 2
 
     def test_non_positive_weight_rejected(self):
-        with pytest.raises(GraphFormatError, match="non-positive"):
+        with pytest.raises(GraphFormatError, match="line 1: .*non-positive"):
             parse_edge_list("0 1 0.0", "weighted")
-        with pytest.raises(GraphFormatError, match="non-positive"):
-            parse_edge_list("0 1 -1.5", "weighted")
+        with pytest.raises(GraphFormatError, match="line 2: .*non-positive"):
+            parse_edge_list("0 1 1.0\n1 2 -1.5", "weighted")
+        # non-finite weights are rejected as well
+        for weight in ("nan", "inf", "-inf", "Infinity"):
+            with pytest.raises(GraphFormatError, match="line 2: .*non-finite"):
+                parse_edge_list(f"0 1 1.0\n1 2 {weight}", "weighted")
 
     def test_weight_on_unweighted_variant_rejected(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="line 1: .*weight 2.0"):
             parse_edge_list("0 1 2.0", "undirected")
+        with pytest.raises(GraphFormatError, match="line 2: .*weight 0.5"):
+            parse_edge_list("0 1 1\n1 2 0.5", "directed")
+        with pytest.raises(GraphFormatError, match="line 3: .*weight 3.0"):
+            parse_edge_list("# bipartite-left: 0\n0 1\n0 2 3", "bipartite")
 
     def test_empty_edge_set_rejected(self):
         with pytest.raises(GraphFormatError, match="m >= 1"):
@@ -67,8 +90,14 @@ class TestParse:
         assert g.part == ("left", "right", "left", "right")
 
     def test_bipartite_within_side_rejected(self):
-        with pytest.raises(GraphFormatError, match="two left"):
+        with pytest.raises(
+            GraphFormatError, match=r"line 2: edge \(0, 1\) joins two left"
+        ):
             parse_edge_list("# bipartite-left: 0 1\n0 1", "bipartite")
+        with pytest.raises(
+            GraphFormatError, match=r"line 3: edge \(3, 1\) joins two right"
+        ):
+            parse_edge_list("0 1\n0 3\n3 1\n# bipartite-left: 0", "bipartite")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(GraphFormatError, match="variant"):
@@ -133,8 +162,25 @@ class TestGraphType:
         with pytest.raises(GraphFormatError):
             Graph(n=2, edges=(), variant="undirected")
         with pytest.raises(GraphFormatError):
-            Graph(n=2, edges=((0, 0, 1.0),), variant="undirected")
-        with pytest.raises(GraphFormatError):
             Graph(n=2, edges=((0, 1, 1.0),), variant="bipartite")
-        with pytest.raises(GraphFormatError):
-            Graph(n=1, edges=((0, 1, 1.0),), variant="undirected")
+        sides = ("left", "right", "right")
+        # (n, edges, variant, part, message, indices of the offending edges)
+        bad = [
+            (2, ((0, 0, 1.0),), "undirected", None, "self-loop", (0,)),
+            (1, ((0, 1, 1.0),), "undirected", None, "out of range", (0,)),
+            (3, ((0, 1, 1.0), (-1, 2, 1.0)), "directed", None, "out of range", (1,)),
+            (3, ((0, 1, 1.0), (1, 2, 0.0)), "weighted", None, "non-positive", (1,)),
+            (2, ((0, 1, -2.0),), "weighted", None, "non-positive", (0,)),
+            (3, ((0, 1, 1.0), (1, 2, np.nan)), "weighted", None, "non-finite", (1,)),
+            (2, ((0, 1, np.inf),), "weighted", None, "non-finite", (0,)),
+            (3, ((0, 1, 1.0), (1, 2, 2.0)), "undirected", None, "weight 2.0", (1,)),
+            (3, ((0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)), "undirected", None,
+             "duplicate", (1, 2)),
+            (3, ((0, 1, 1.0), (0, 1, 1.0)), "directed", None, "duplicate", (0, 1)),
+            (3, ((0, 1, 1.0), (1, 2, 1.0)), "bipartite", sides, "two right", (1,)),
+        ]
+        for n, edges, variant, part, message, where in bad:
+            with pytest.raises(GraphFormatError, match=message) as exc:
+                Graph(n=n, edges=edges, variant=variant, part=part)
+            assert not str(exc.value).startswith("line"), message
+            assert exc.value.edges == where, message

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modkit import (
+    Partition,
     VectorEmbedding,
     bounds,
     build_q,
@@ -17,7 +18,7 @@ from modkit import (
     solve_cut_sdp,
     solve_full_sdp,
 )
-from modkit.rounding import _TRIAL_BLOCK, _best_of_trials
+from modkit.rounding import _TRIAL_BLOCK, _best_of_trials, _trial_blocks
 
 import fixtures
 
@@ -89,8 +90,8 @@ class TestHyperplaneRound:
         emb = VectorEmbedding(vectors=vecs)
         trials = 100_000
         together = sum(
-            hyperplane_round(qm, emb, 2, seed=123, trial=t).partition.k == 1
-            for t in range(trials)
+            int((codes[:, 0] == codes[:, 1]).sum())
+            for _, codes, _ in _trial_blocks(qm, emb, 2, trials, seed=123)
         )
         assert together / trials == pytest.approx(4.0 / 9.0, abs=0.01)
 
@@ -141,11 +142,8 @@ class TestRoundFull:
         sol = solve_full_sdp(qm)
         emb = gram_vectors(sol)
         k_star = select_k_star(float(np.clip(sol.z_plus, 0, 1)), qm.n)
-        scores = np.array(
-            [
-                hyperplane_round(qm, emb, k_star, seed=2024, trial=t).score
-                for t in range(10_000)
-            ]
+        scores = np.concatenate(
+            [s for _, _, s in _trial_blocks(qm, emb, k_star, 10_000, seed=2024)]
         )
         _, report = round_full(qm, sol, trials=1, seed=2024)
         slack = 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
@@ -193,11 +191,8 @@ class TestRoundCut:
         qm = build_q(fixtures.path_graph(4))
         sol = solve_cut_sdp(qm)
         emb = gram_vectors(sol)
-        scores = np.array(
-            [
-                hyperplane_round(qm, emb, 1, seed=77, trial=t).score
-                for t in range(10_000)
-            ]
+        scores = np.concatenate(
+            [s for _, _, s in _trial_blocks(qm, emb, 1, 10_000, seed=77)]
         )
         _, report = round_cut(qm, sol, trials=1, seed=77)
         slack = 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
@@ -268,6 +263,22 @@ class TestBatchedMatchesPerTrial:
                 for trials in BLOCK_COUNTS:
                     got = _best_of_trials(qm, emb, k, trials, seed)
                     _same_outcome(got, want[trials])
+
+    def test_trial_blocks_round_every_trial(self):
+        qm, _, emb = _relaxed("petersen", "full")
+        trials = _TRIAL_BLOCK + 44
+        # the two score sums differ only in summation order
+        tol = 4.0 * qm.n * qm.n * np.finfo(float).eps
+        for k in (1, 2, 3, 4):
+            blocks = list(_trial_blocks(qm, emb, k, trials, seed=5))
+            assert [start for start, _, _ in blocks] == [0, _TRIAL_BLOCK]
+            codes = np.concatenate([c for _, c, _ in blocks])
+            scores = np.concatenate([s for _, _, s in blocks])
+            assert codes.shape == (trials, qm.n)
+            for t in range(trials):
+                want = hyperplane_round(qm, emb, k, seed=5, trial=t)
+                assert Partition.from_labels(codes[t]) == want.partition
+                assert abs(scores[t] - want.score) <= tol
 
     def test_winners_past_the_first_block(self):
         qm, _, emb = _relaxed("petersen", "full")

@@ -168,7 +168,6 @@ class TestGramVectors:
             iterations=0,
             primal_residual=0.0,
             dual_residual=0.0,
-            wallclock=0.0,
             converged=True,
         )
 
