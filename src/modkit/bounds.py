@@ -20,6 +20,7 @@ __all__ = [
     "f_k",
     "h_k",
     "g_k",
+    "g_table",
     "l_k",
     "full_lower_bound_curve",
     "cut_envelopes",
@@ -73,6 +74,15 @@ def g_k(x, k):
     k = _check_k(k)
     out = arr - (1.0 - np.arccos(arr) / np.pi) ** k + 0.5**k
     return out if out.ndim else float(out)
+
+
+def g_table(x, k_hi):
+    """g_k(x) for k = 1, ..., k_hi along a new last axis. An entry can
+    differ from the scalar ``g_k`` in the last bit."""
+    arr = _check_domain(x, 0.0, 1.0)
+    ks = np.arange(1, _check_k(k_hi) + 1)
+    base = 1.0 - np.arccos(arr) / np.pi
+    return arr[..., None] - base[..., None] ** ks + 0.5**ks
 
 
 def l_k(x, k):
@@ -161,11 +171,7 @@ def full_lower_bound_curve(opt, k_max: int = K_CAP):
     Returns opt - min(full_worst_error, min_{k <= k_max} g_k(opt)).
     """
     arr = _check_domain(opt, 0.0, np.nextafter(1.0, 0.0), name="opt")
-    k_max = _check_k(k_max)
-    base = 1.0 - np.arccos(arr) / np.pi
-    ks = np.arange(1, k_max + 1)
-    gs = arr[..., None] - base[..., None] ** ks + 0.5**ks
-    err = np.minimum(CONSTANTS.full_worst_error, gs.min(axis=-1))
+    err = np.minimum(CONSTANTS.full_worst_error, g_table(arr, k_max).min(axis=-1))
     out = arr - err
     return out if out.ndim else float(out)
 
@@ -232,15 +238,12 @@ def verify_auxiliary_bounds(n_range, grid: int = 1000) -> dict:
     if not n_range:
         raise ValueError("n_range must be nonempty")
 
-    ks = np.arange(1, K_CAP + 1)
     cap_ok = True
     worst_argmin = {}
     for n in n_range:
         xs = np.linspace(0.0, 1.0 - 1.0 / n, grid)
-        base = 1.0 - np.arccos(xs) / np.pi
-        gs = xs[:, None] - base[:, None] ** ks + 0.5**ks
         # np.argmin returns the first (smallest) minimizing k
-        kmins = ks[np.argmin(gs, axis=1)]
+        kmins = np.argmin(g_table(xs, K_CAP), axis=1) + 1
         worst_argmin[n] = int(kmins.max())
         if kmins.max() > k_cap_for(n):
             cap_ok = False

@@ -7,8 +7,8 @@ Reports are deterministic: identical configuration (seed included) yields
 byte-identical output files. Floats are serialized with 17 significant
 digits so that determinism is byte-testable.
 
-Exit codes: 0 success, 2 validation/usage error (an unreadable input or an
-unwritable output or iterate-log path included), 3 solver non-convergence.
+Exit codes: 0 success, 2 validation, usage, I/O or out-of-memory error (no
+report file is written then), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import secrets
 import sys
 
@@ -63,12 +64,25 @@ def dumps_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
 def _open_output(path: str | None):
-    """The report stream: stdout for no path or "-", else the file at
-    ``path``, opened (and so checked) when this is called."""
+    """Yield the report's write function: to stdout for no path or "-", else
+    to the file at ``path``, opened (and so checked) on entry but emptied
+    only by the write. If the block fails, a file it created is removed."""
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w")
+        yield sys.stdout.write
+        return
+    created = not os.path.exists(path)
+    with open(path, "a") as fh:
+        def write(text: str) -> None:
+            fh.truncate(0)
+            fh.write(text)
+        try:
+            yield write
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
 
 
 def _load_graph(args):
@@ -98,9 +112,9 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _config_echo(args, command: str, seed: int) -> dict:
+def _config_echo(args, seed: int) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "input": args.input,
         "variant": args.variant,
         "trials": args.trials,
@@ -113,7 +127,7 @@ def _config_echo(args, command: str, seed: int) -> dict:
     }
 
 
-def _run_rounding_command(args, command: str) -> int:
+def _run_rounding_command(args) -> int:
     graph = _load_graph(args)
     qm = build_q(graph)
     opts = _solver_options(args)
@@ -122,8 +136,8 @@ def _run_rounding_command(args, command: str) -> int:
     # output path fails before the solve instead of after it
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
-    with _open_output(args.output) as out:
-        if command == "solve":
+    with _open_output(args.output) as write:
+        if args.command == "solve":
             sol = solve_full_sdp(qm, opts)
             best, report = round_full(qm, sol, trials=args.trials, seed=seed)
         else:
@@ -131,7 +145,7 @@ def _run_rounding_command(args, command: str) -> int:
             best, report = round_cut(qm, sol, trials=args.trials, seed=seed)
 
         payload = {
-            "config": _config_echo(args, command, seed),
+            "config": _config_echo(args, seed),
             "graph": {"n": graph.n, "m": graph.m, "variant": graph.variant,
                       "scale": qm.scale},
             "solver": {
@@ -147,7 +161,7 @@ def _run_rounding_command(args, command: str) -> int:
                 "assign": list(best.partition.assign),
             },
         }
-        out.write(dumps_report(payload))
+        write(dumps_report(payload))
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
@@ -170,8 +184,8 @@ def _run_exact(args) -> int:
         "partition": list(result.opt_partition.assign),
         "enumerated": result.enumerated,
     }
-    with _open_output(args.output) as out:
-        out.write(dumps_report(payload))
+    with _open_output(args.output) as write:
+        write(dumps_report(payload))
     return EXIT_OK
 
 
@@ -191,13 +205,11 @@ def _figure_rows(figure: int, samples: int, k_max: int):
         xs = np.linspace(0.5, 1.0, samples)
         cols = [xs, bounds.cut_error_function(xs)]
         meta = ["# figure: 3", f"# samples: {samples}"]
-    elif figure == 4:
+    else:
         header = ["opt_cut", "floor"]
         xs = np.linspace(0.0, 0.5, samples)
         cols = [xs, bounds.cut_error_curve(xs)]
         meta = ["# figure: 4", f"# samples: {samples}"]
-    else:
-        raise GraphFormatError(f"unknown figure {figure}; choose 1-4")
     return meta, header, np.column_stack(cols)
 
 
@@ -208,8 +220,8 @@ def _run_bounds(args) -> int:
     lines = meta + [",".join(header)]
     for row in table:
         lines.append(",".join(format(v, ".17g") for v in row))
-    with _open_output(args.output) as out:
-        out.write("\n".join(lines) + "\n")
+    with _open_output(args.output) as write:
+        write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -273,19 +285,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return _run_rounding_command(args, "solve")
-        if args.command == "cut":
-            return _run_rounding_command(args, "cut")
         if args.command == "exact":
             return _run_exact(args)
         if args.command == "bounds":
             return _run_bounds(args)
-        parser.error(f"unknown command {args.command}")
-    except (GraphFormatError, ValueError, OSError) as exc:
+        return _run_rounding_command(args)
+    except (GraphFormatError, ValueError, OSError, MemoryError) as exc:
         print(f"modkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

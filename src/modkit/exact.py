@@ -49,7 +49,7 @@ def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
     """Maximize the partition score over all set partitions by exhaustive
     enumeration. Rejects n > limit with the Bell-number count that made it
     unreasonable."""
-    n = qm.n
+    n = qm.graph.n
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the enumeration limit {limit} "
@@ -98,7 +98,7 @@ def exact_cut(qm: QMatrix, limit: int = CUT_LIMIT) -> ExactResult:
     masks are evaluated in vectorized chunks with vertex n-1 pinned to one
     side so each unordered bipartition appears once.
     """
-    n = qm.n
+    n = qm.graph.n
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the enumeration limit {limit} "

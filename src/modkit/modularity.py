@@ -9,9 +9,10 @@ adjacency structure against a degree-product null model:
     directed:    q_ij = A_ij/m     - dout_i din_j/m^2
     bipartite:   q_ij = A_ij/m     - d_i d_j/m^2     (cross-side pairs only)
 
-Directed and bipartite coefficients are symmetrized once at build time,
+Only ``summands`` evaluates these formulas. It symmetrizes each term,
 (q_ij + q_ji)/2, which leaves every partition score unchanged because
-same-cluster membership is a symmetric relation.
+same-cluster membership is a symmetric relation; ``build_q`` stores only
+the difference of the two terms.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .graph import Graph, degrees
 
-__all__ = ["QMatrix", "Partition", "build_q", "modularity"]
+__all__ = ["QMatrix", "Partition", "build_q", "summands", "modularity"]
 
 # Entry sums of a valid coefficient matrix vanish; tolerance scales with n^2.
 _SUM_TOL = 1e-12
@@ -70,27 +71,22 @@ class Partition:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense symmetric coefficient matrix plus its positive mass.
+    """Dense symmetric coefficient matrix of ``graph`` plus its positive mass.
 
     ``entries`` sums to zero; ``q_mass`` is the total of its nonnegative
     entries (equal to minus the total of its negative entries, and < 1 on
-    every instance). ``coupling`` and ``null_term`` hold the two symmetrized
-    summands with entries = coupling - null_term; the bipartition solver
-    needs them separately. ``scale`` records the normalizing denominator
-    (m, or W for the weighted variant).
+    every instance). ``scale`` records the normalizing denominator (m, or W
+    for the weighted variant). The two summands of ``entries`` are not
+    stored: ``summands(graph)`` recomputes them bit for bit.
     """
 
-    n: int
+    graph: Graph = field(repr=False)
     entries: np.ndarray
     q_mass: float
-    variant: str
     scale: float
-    coupling: np.ndarray = field(repr=False)
-    null_term: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.entries, self.coupling, self.null_term):
-            arr.setflags(write=False)
+        self.entries.setflags(write=False)
 
 
 def _adjacency(g: Graph) -> np.ndarray:
@@ -102,8 +98,10 @@ def _adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def build_q(g: Graph) -> QMatrix:
-    """Build the coefficient matrix for ``g`` per its variant's formula."""
+def summands(g: Graph) -> tuple[np.ndarray, np.ndarray, float]:
+    """The symmetrized coupling and null-model terms of ``g``'s coefficient
+    matrix, and its scale. Both terms are bitwise symmetric (floating-point
+    + and * commute), so their difference is too."""
     a = _adjacency(g)
     if g.variant in ("undirected", "weighted"):
         d = degrees(g)
@@ -122,11 +120,18 @@ def build_q(g: Graph) -> QMatrix:
         cross = np.outer(left, ~left)
         coupling = np.where(cross, a, 0.0) / scale
         null = np.where(cross, np.outer(d, d), 0.0) / (scale * scale)
+    return (coupling + coupling.T) / 2.0, (null + null.T) / 2.0, scale
 
-    coupling = (coupling + coupling.T) / 2.0
-    null = (null + null.T) / 2.0
-    entries = coupling - null
-    entries = (entries + entries.T) / 2.0
+
+def build_q(g: Graph) -> QMatrix:
+    """Build the coefficient matrix for ``g`` per its variant's formula."""
+    # out-of-range weights give inf or nan entries, rejected here unwarned
+    with np.errstate(all="ignore"):
+        coupling, null, scale = summands(g)
+        entries = coupling - null
+    if not np.isfinite(entries).all():
+        raise ValueError("edge weights out of float64 range: the coefficient "
+                         "matrix is not finite")
 
     total = float(entries.sum())
     if abs(total) > _SUM_TOL * g.n * g.n:
@@ -143,24 +148,16 @@ def build_q(g: Graph) -> QMatrix:
     if q_mass >= 1.0:
         raise AssertionError(f"positive mass {q_mass} outside (0, 1)")
 
-    return QMatrix(
-        n=g.n,
-        entries=entries,
-        q_mass=q_mass,
-        variant=g.variant,
-        scale=scale,
-        coupling=coupling,
-        null_term=null,
-    )
+    return QMatrix(graph=g, entries=entries, q_mass=q_mass, scale=scale)
 
 
 def modularity(qm: QMatrix, p: Partition) -> float:
     """Score of a partition: sum of q_ij over same-cluster pairs."""
-    if len(p.assign) != qm.n:
+    if len(p.assign) != qm.graph.n:
         raise ValueError(
-            f"partition covers {len(p.assign)} vertices, matrix has {qm.n}"
+            f"partition covers {len(p.assign)} vertices, matrix has {qm.graph.n}"
         )
     labels = np.asarray(p.assign)
-    ind = np.zeros((qm.n, p.k))
-    ind[np.arange(qm.n), labels] = 1.0
+    ind = np.zeros((qm.graph.n, p.k))
+    ind[np.arange(qm.graph.n), labels] = 1.0
     return float(((qm.entries @ ind) * ind).sum())

@@ -97,17 +97,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 def select_k_star(z_plus: float, n: int) -> int:
     """Smallest hyperplane count minimizing the per-k error at ``z_plus``
     over k in {1, ..., max(3, ceil(log2 n))}."""
-    if not 0.0 <= z_plus <= 1.0:
-        raise ValueError(f"z_plus must lie in [0, 1], got {z_plus}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    k_hi = bounds.k_cap_for(n)
-    values = [bounds.g_k(z_plus, k) for k in range(1, k_hi + 1)]
-    vmin = min(values)
-    for k, v in enumerate(values, start=1):
-        if v <= vmin + _TIE_TOL:
-            return k
-    raise AssertionError("unreachable")
+    values = bounds.g_table(z_plus, bounds.k_cap_for(n))
+    return int(np.argmax(values <= values.min() + _TIE_TOL)) + 1
 
 
 def hyperplane_round(
@@ -169,7 +160,7 @@ def _best_of_trials(qm, emb, k, trials, seed):
     as ``hyperplane_round(qm, emb, k, seed, trial)`` would round it."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    tol = _RESCORE_TOL * qm.n * qm.n
+    tol = _RESCORE_TOL * qm.graph.n * qm.graph.n
     best = None
     top = -np.inf
     for start, codes, scores in _trial_blocks(qm, emb, k, trials, seed):
@@ -202,7 +193,7 @@ def round_full(
         raise ValueError("round_full needs a full-relaxation solution")
     z_plus = float(np.clip(sol.z_plus, 0.0, 1.0))
     z_minus = float(np.clip(sol.z_minus, -1.0, 0.0))
-    k_star = select_k_star(z_plus, qm.n)
+    k_star = select_k_star(z_plus, qm.graph.n)
     emb = gram_vectors(sol)
     best = _best_of_trials(qm, emb, k_star, trials, seed)
 

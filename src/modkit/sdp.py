@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modularity import QMatrix
+from .modularity import QMatrix, summands
 
 __all__ = [
     "SolverOptions",
@@ -221,10 +221,10 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
     are rejected. z_plus is the coupling term of the objective and z_minus
     the null-model term, so objective == z_plus + z_minus.
     """
-    if qm.variant not in ("undirected", "weighted"):
+    if qm.graph.variant not in ("undirected", "weighted"):
         raise ValueError(
             f"bipartition relaxation is defined for undirected/weighted "
-            f"graphs, not {qm.variant!r}"
+            f"graphs, not {qm.graph.variant!r}"
         )
     opts = opts or SolverOptions()
     # <Q, (X+1)/2> and <Q, X> differ by the constant sum(Q)/2 = 0, so the
@@ -232,9 +232,10 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
     x, iters, r_inf, s_inf, converged = _admm(qm.entries, nonneg=False, opts=opts)
     x = _repair(x, nonneg=False)
 
+    coupling, null, _ = summands(qm.graph)
     shifted = x + 1.0
-    z_plus = float((qm.coupling * shifted).sum()) / 2.0
-    z_minus = -float((qm.null_term * shifted).sum()) / 2.0
+    z_plus = float((coupling * shifted).sum()) / 2.0
+    z_minus = -float((null * shifted).sum()) / 2.0
     objective = float((qm.entries * shifted).sum()) / 2.0
     return SdpSolution(
         gram=x,

@@ -191,7 +191,7 @@ def test_c04_full_expectation_floors(solved_full):
     for name in FLOOR_FIXTURES_FULL:
         g, qm, sol, _ = by_name[name]
         emb = gram_vectors(sol)
-        k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.n)
+        k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.graph.n)
         scores = np.concatenate(
             [s for _, _, s in _trial_blocks(qm, emb, k_star, 10_000, seed=2024)]
         )

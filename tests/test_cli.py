@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -145,6 +146,52 @@ class TestSolve:
                          "--iterate-log", str(log)])
             assert code == 2
             assert "modkit: error:" in capsys.readouterr().err
+
+    def test_failed_run_writes_no_report(self, k2_file, tmp_path, capsys):
+        # a run that fails after --output is opened creates no report file
+        # and leaves an existing one as it was
+        out = tmp_path / "r.json"
+        missing_log = str(tmp_path / "missing" / "log.csv")
+        failing = (
+            ["cut", "--input", k2_file, "--variant", "directed"],
+            ["solve", "--input", k2_file, "--iterate-log", missing_log],
+        )
+        for argv in failing:
+            for old in (None, "an earlier report\n"):
+                if old is not None:
+                    out.write_text(old)
+                code = main(argv + ["--trials", "5", "--output", str(out)])
+                assert code == 2
+                assert "modkit: error:" in capsys.readouterr().err
+                if old is None:
+                    assert not out.exists(), argv
+                else:
+                    assert out.read_text() == old, argv
+                out.unlink(missing_ok=True)
+
+    def test_huge_vertex_count_rejected(self, tmp_path, capsys):
+        # 10**8 vertices need a 71 PiB coefficient matrix, far past any
+        # address space, so the allocation fails at once
+        path = tmp_path / "huge.txt"
+        for text in ("0 100000000\n", "# n: 100000000\n0 1\n"):
+            path.write_text(text)
+            for command in ("solve", "exact"):
+                assert main([command, "--input", str(path)]) == 2
+                assert "modkit: error: Unable to allocate" in capsys.readouterr().err
+
+    def test_out_of_range_weights_rejected(self, tmp_path, capsys):
+        # the total weight overflows, W**2 overflows, W**2 underflows to 0
+        path = tmp_path / "w.txt"
+        for text in ("0 1 1e308\n1 2 1e308\n2 0 1\n",
+                     "0 1 1e200\n1 2 1e200\n2 0 1e200\n",
+                     "0 1 1e-320\n1 2 1e-320\n2 0 1e-320\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["solve", "--input", str(path),
+                             "--variant", "weighted"])
+            assert code == 2
+            assert "out of float64 range" in capsys.readouterr().err
 
     def test_iterate_log_written(self, k2_file, tmp_path):
         log = tmp_path / "iters.csv"

@@ -64,7 +64,7 @@ class TestHyperplaneRound:
         for k in (1, 2, 3, 4):
             for t in range(20):
                 out = hyperplane_round(qm, emb, k, seed=17, trial=t)
-                assert out.partition.k <= min(2**k, qm.n)
+                assert out.partition.k <= min(2**k, qm.graph.n)
 
     def test_same_seed_same_outcome(self):
         qm = build_q(fixtures.two_triangle_bridge())
@@ -106,7 +106,7 @@ class TestRoundFull:
         assert report.best_score == best.score
         assert report.upper_bound >= best.score - 1e-9
         assert report.k_star == select_k_star(
-            float(np.clip(sol.z_plus, 0.0, 1.0)), qm.n
+            float(np.clip(sol.z_plus, 0.0, 1.0)), qm.graph.n
         )
 
     def test_k2_scores_zero(self):
@@ -141,7 +141,7 @@ class TestRoundFull:
         qm = build_q(fixtures.two_triangle_bridge())
         sol = solve_full_sdp(qm)
         emb = gram_vectors(sol)
-        k_star = select_k_star(float(np.clip(sol.z_plus, 0, 1)), qm.n)
+        k_star = select_k_star(float(np.clip(sol.z_plus, 0, 1)), qm.graph.n)
         scores = np.concatenate(
             [s for _, _, s in _trial_blocks(qm, emb, k_star, 10_000, seed=2024)]
         )
@@ -268,13 +268,13 @@ class TestBatchedMatchesPerTrial:
         qm, _, emb = _relaxed("petersen", "full")
         trials = _TRIAL_BLOCK + 44
         # the two score sums differ only in summation order
-        tol = 4.0 * qm.n * qm.n * np.finfo(float).eps
+        tol = 4.0 * qm.graph.n * qm.graph.n * np.finfo(float).eps
         for k in (1, 2, 3, 4):
             blocks = list(_trial_blocks(qm, emb, k, trials, seed=5))
             assert [start for start, _, _ in blocks] == [0, _TRIAL_BLOCK]
             codes = np.concatenate([c for _, c, _ in blocks])
             scores = np.concatenate([s for _, _, s in blocks])
-            assert codes.shape == (trials, qm.n)
+            assert codes.shape == (trials, qm.graph.n)
             for t in range(trials):
                 want = hyperplane_round(qm, emb, k, seed=5, trial=t)
                 assert Partition.from_labels(codes[t]) == want.partition
@@ -306,7 +306,7 @@ class TestBatchedMatchesPerTrial:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_round_full(self, name):
         qm, sol, emb = _relaxed(name, "full")
-        k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.n)
+        k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.graph.n)
         counts = BLOCK_COUNTS + (2000,)
         for seed in SEEDS:
             want = _loop_bests(qm, emb, k_star, seed, counts)

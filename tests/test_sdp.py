@@ -142,6 +142,27 @@ class TestCutSolve:
                 sol.z_plus + sol.z_minus, abs=1e-9
             )
 
+    def test_z_terms_split_bit_for_bit(self):
+        # z_plus and z_minus are the coupling and null-model terms of the
+        # objective, built here from the edge list, to the last bit
+        for name, g in fixtures.named_fixtures():
+            if g.variant not in ("undirected", "weighted"):
+                continue
+            a = np.zeros((g.n, g.n))
+            d = np.zeros(g.n)
+            for i, j, w in g.edges:
+                a[i, j] += w
+                a[j, i] += w
+                d[i] += w
+                d[j] += w
+            total = g.total_weight
+            sol = solve_cut_sdp(build_q(g))
+            shifted = sol.gram + 1.0
+            coupling = a / (2.0 * total)
+            null = np.outer(d, d) / (4.0 * total * total)
+            assert sol.z_plus == float((coupling * shifted).sum()) / 2.0, name
+            assert sol.z_minus == -float((null * shifted).sum()) / 2.0, name
+
     def test_z_bounds(self):
         for name, g in fixtures.random_corpus(count=6):
             sol = solve_cut_sdp(build_q(g))
