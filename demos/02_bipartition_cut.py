@@ -21,7 +21,8 @@ print(f"random graph: n={graph.n}, m={graph.m}")
 
 qm = build_q(graph)
 sol = solve_cut_sdp(qm)
-print(f"cut relaxation objective = {sol.objective:.9f}")
+print(f"cut relaxation objective = {sol.objective:.9f} "
+      f"(dual upper bound {sol.upper_bound:.9f})")
 print(f"z+ = {sol.z_plus:.6f} (always >= 1/2), z- = {sol.z_minus:.6f} (always <= -1/2)")
 
 best, report = round_cut(qm, sol, trials=200, seed=1)

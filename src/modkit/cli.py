@@ -94,14 +94,17 @@ def _load_graph(args):
     return parse_edge_list(text, args.variant)
 
 
+# Solver knobs in config-echo order; ``cut`` takes only those its solver
+# uses (not tol_feas or penalty).
+_SOLVER_KNOBS = ("tol_feas", "tol_obj", "max_iters", "penalty")
+
+
+def _solver_knobs(args) -> dict:
+    return {key: getattr(args, key) for key in _SOLVER_KNOBS if key in args}
+
+
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        tol_feas=args.tol_feas,
-        tol_obj=args.tol_obj,
-        max_iters=args.max_iters,
-        penalty=args.penalty,
-        iterate_log=args.iterate_log,
-    )
+    return SolverOptions(**_solver_knobs(args), iterate_log=args.iterate_log)
 
 
 def _resolve_seed(args) -> int:
@@ -119,10 +122,7 @@ def _config_echo(args, seed: int) -> dict:
         "variant": args.variant,
         "trials": args.trials,
         "seed": seed,
-        "tol_feas": args.tol_feas,
-        "tol_obj": args.tol_obj,
-        "max_iters": args.max_iters,
-        "penalty": args.penalty,
+        **_solver_knobs(args),
         "format": "json",
     }
 
@@ -248,10 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="draw the seed from OS randomness instead of --seed",
             )
-            p.add_argument("--tol-feas", dest="tol_feas", type=float, default=1e-7)
             p.add_argument("--tol-obj", dest="tol_obj", type=float, default=1e-6)
             p.add_argument("--max-iters", dest="max_iters", type=int, default=50000)
-            p.add_argument("--penalty", type=float, default=1.0)
             p.add_argument(
                 "--iterate-log",
                 dest="iterate_log",
@@ -261,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="full relaxation + adaptive rounding")
     add_graph_args(p_solve, with_rounding=True)
+    p_solve.add_argument("--tol-feas", dest="tol_feas", type=float, default=1e-7)
+    p_solve.add_argument("--penalty", type=float, default=1.0)
 
     p_cut = sub.add_parser("cut", help="bipartition relaxation + one hyperplane")
     add_graph_args(p_cut, with_rounding=True)

@@ -69,15 +69,20 @@ class RoundingOutcome:
 class GuaranteeReport:
     """Certificate bundle for a best-of-trials rounding run.
 
-    ``upper_bound`` is the relaxation objective (an upper bound on the
-    relevant optimum), ``expectation_floor`` the guaranteed expected score
-    of a single trial, and ``additive_certificate`` the guaranteed score
-    floor expressed as upper bound minus the applicable error term. The
-    returned best score always sits above the expectation floor's long-run
-    average, and max >= mean keeps every certificate valid for it.
+    ``upper_bound`` is the solver's dual bound on the relaxation optimum, so
+    it bounds the relevant partition optimum from above whether or not the
+    solve converged. ``relaxation_value`` is the primal objective of the
+    returned solution; it sits at or below ``upper_bound``, by the dual gap.
+    ``z_plus``/``z_minus`` are that solution's mass averages, from which
+    ``expectation_floor``, the guaranteed expected score of a single trial,
+    is computed. ``additive_certificate`` is the guaranteed score floor,
+    ``upper_bound`` minus the applicable error term. The returned best
+    score always sits above the expectation floor's long-run average, and
+    max >= mean keeps every certificate valid for it.
     """
 
     upper_bound: float
+    relaxation_value: float
     q_mass: float
     z_plus: float
     z_minus: float
@@ -186,7 +191,7 @@ def round_full(
     """Best of ``trials`` adaptive-count hyperplane roundings.
 
     The report carries the expectation floor q * (f_k(z+) + h_k(-z-)) and
-    the additive certificate objective - q * g_k(z+), both at the chosen
+    the additive certificate upper_bound - q * g_k(z+), both at the chosen
     hyperplane count.
     """
     if sol.kind != "full":
@@ -199,9 +204,10 @@ def round_full(
 
     q = qm.q_mass
     floor = q * (bounds.f_k(z_plus, k_star) + bounds.h_k(-z_minus, k_star))
-    certificate = sol.objective - q * bounds.g_k(z_plus, k_star)
+    certificate = sol.upper_bound - q * bounds.g_k(z_plus, k_star)
     report = GuaranteeReport(
-        upper_bound=sol.objective,
+        upper_bound=sol.upper_bound,
+        relaxation_value=sol.objective,
         q_mass=q,
         z_plus=sol.z_plus,
         z_minus=sol.z_minus,
@@ -221,13 +227,14 @@ def round_cut(
     """Best of ``trials`` single-hyperplane bipartitions.
 
     The report carries the envelope floor p+(2z+ - 1) + p-(-1 - 2z-) and
-    the additive certificate objective - 0.16598. A draw that leaves every
-    vector on one side yields the single-cluster partition (score 0),
-    which is a valid bipartition with an empty side.
+    the additive certificate upper_bound - 0.16598. The hyperplanes cut the
+    solver's unit-row factor V directly. A draw that leaves every vector on
+    one side yields the single-cluster partition (score 0), which is a
+    valid bipartition with an empty side.
     """
     if sol.kind != "cut":
         raise ValueError("round_cut needs a bipartition-relaxation solution")
-    emb = gram_vectors(sol)
+    emb = VectorEmbedding(sol.factor)
     best = _best_of_trials(qm, emb, 1, trials, seed)
 
     plus_arg = float(np.clip(2.0 * sol.z_plus - 1.0, -1.0, 1.0))
@@ -235,13 +242,14 @@ def round_cut(
     p_plus, _ = bounds.cut_envelopes(plus_arg)
     _, p_minus = bounds.cut_envelopes(minus_arg)
     report = GuaranteeReport(
-        upper_bound=sol.objective,
+        upper_bound=sol.upper_bound,
+        relaxation_value=sol.objective,
         q_mass=qm.q_mass,
         z_plus=sol.z_plus,
         z_minus=sol.z_minus,
         k_star=1,
         expectation_floor=p_plus + p_minus,
-        additive_certificate=sol.objective - CUT_ERROR_BUDGET,
+        additive_certificate=sol.upper_bound - CUT_ERROR_BUDGET,
         best_score=best.score,
         trials=trials,
         seed=seed,

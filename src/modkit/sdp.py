@@ -1,24 +1,35 @@
 """Semidefinite relaxation solvers for modularity objectives.
 
-Two problem shapes are solved, both by the same operator-splitting scheme
-(alternating projections with scaled dual updates):
+Two problems, one solver each:
 
 * full relaxation: maximize <Q, X> over PSD X with unit diagonal and
   entrywise nonnegative entries; its optimum upper-bounds the best
-  achievable modularity over all partitions.
+  achievable modularity over all partitions. It is solved by operator
+  splitting (ADMM): alternating projections onto the PSD cone (one
+  symmetric eigendecomposition per iteration) and onto the nonnegative
+  unit-diagonal matrices, with scaled dual updates and a penalty that
+  self-tunes by residual balancing.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
-  modularity over bipartitions.
+  modularity over bipartitions. It is solved by the mixing method (Wang,
+  Chang & Kolter 2017): X = V V^T with V of rank ceil(sqrt(2n)) + 1 and unit
+  rows, each sweep setting every row in turn to the normalized Q-weighted
+  sum of the others. No eigendecomposition is needed.
 
-The per-iteration kernel is a single symmetric eigendecomposition (the
-projection onto the PSD cone); the diagonal/nonnegativity constraints
-project entrywise. The penalty parameter self-tunes by residual balancing.
-Iteration order is fixed, so a solve is bit-reproducible for identical
-inputs and options.
+Both solvers report a dual upper bound that holds at any iterate, converged
+or not (Jansson, Chaykowski & Keil 2007): for any vector y and any
+symmetric N >= 0 with zero diagonal, every feasible X has
+<Q, X> <= sum(y) + n * max(0, lambda_max(Q + N - Diag y)). The full solver
+takes y and N from its last dual iterate; the mixing method takes
+y = diag(Q V V^T), and stops when this bound is within ``tol_obj`` of the
+objective. Iteration order and the mixing method's starting point are
+fixed, so a solve is bit-reproducible for identical inputs and options.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +46,19 @@ __all__ = [
 ]
 
 
+# Seed of the mixing method's Gaussian start, so that a cut solve depends
+# only on its graph.
+_MIXING_SEED = 0
+
+
 @dataclass
 class SolverOptions:
-    """Solver knobs. ``penalty`` is the initial splitting step size; it is
-    rescaled automatically when the primal/dual residual ratio drifts past
-    10. ``iterate_log`` optionally names a CSV file receiving one row per
+    """Solver knobs. ``tol_obj`` bounds the relative objective change (full)
+    or dual gap (bipartition) at convergence, and ``max_iters`` counts ADMM
+    iterations or mixing sweeps. ``tol_feas`` and ``penalty`` drive ADMM
+    only: ``penalty`` is the initial splitting step size, rescaled
+    automatically when the primal/dual residual ratio drifts past 10.
+    ``iterate_log`` optionally names a CSV file receiving one row per
     iteration (iteration, objective, primal_residual, dual_residual)."""
 
     tol_feas: float = 1e-7
@@ -59,17 +78,21 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Feasibility-repaired solution of one relaxation.
+    """Solution of one relaxation.
 
     ``gram`` is PSD with unit diagonal (within the feasibility tolerance)
     and, for kind="full", entrywise nonnegative. ``z_plus``/``z_minus`` are
     the positive- and negative-mass averages of the solution entries; the
     rounding guarantees consume them. ``objective`` is evaluated on
-    ``gram`` itself, so it is certified by a feasible point.
+    ``gram`` itself. ``upper_bound`` is the dual bound on the relaxation
+    optimum, and so on the best partition's score; it holds whether or not
+    the solve converged. For kind="cut", ``factor`` is the unit-row V with
+    ``gram`` = V V^T; it is None for kind="full".
     """
 
     gram: np.ndarray
     objective: float
+    upper_bound: float
     z_plus: float
     z_minus: float
     kind: str
@@ -77,9 +100,12 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     converged: bool
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         self.gram.setflags(write=False)
+        if self.factor is not None:
+            self.factor.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -109,17 +135,44 @@ def _psd_project(mat: np.ndarray) -> np.ndarray:
     return (u * w) @ u.T
 
 
-def _box_project(mat: np.ndarray, nonneg: bool) -> np.ndarray:
+def _box_project(mat: np.ndarray) -> np.ndarray:
     out = mat.copy()
     np.fill_diagonal(out, 1.0)
-    if nonneg:
-        np.clip(out, 0.0, None, out=out)
+    np.clip(out, 0.0, None, out=out)
     return out
 
 
-def _admm(c: np.ndarray, nonneg: bool, opts: SolverOptions):
-    """Maximize <c, X> over PSD X with unit diagonal (and X >= 0 if
-    ``nonneg``). Returns (X, iterations, primal_res, dual_res, converged)."""
+def _dual_bound(c: np.ndarray, y: np.ndarray, N: np.ndarray | None = None) -> float:
+    """Upper bound on <c, X> over PSD X with unit diagonal, and X >= 0 when
+    ``N`` is given: sum(y) + n * max(0, lambda_max(c + N - Diag y)). It
+    holds for any y and any symmetric N >= 0 with zero diagonal. The
+    eigenvalue is raised by 4 n^2 eps max|M|, more than the rounding error
+    of forming M and of its symmetric eigensolve, so the bound holds in
+    floating point too."""
+    n = c.shape[0]
+    m = c - np.diag(y)
+    if N is not None:
+        m += N
+    margin = 4.0 * n * n * np.finfo(float).eps * float(np.abs(m).max())
+    lam = float(np.linalg.eigvalsh(m)[-1])
+    return float(y.sum()) + n * max(0.0, lam + margin)
+
+
+@contextlib.contextmanager
+def _iterate_log(path: str | None):
+    """Yield a function writing one CSV row per iteration to ``path``, or
+    one doing nothing when there is no path."""
+    if not path:
+        yield lambda *row: None
+        return
+    with open(path, "w") as log:
+        log.write("iteration,objective,primal_residual,dual_residual\n")
+        yield lambda it, obj, r, s: log.write(f"{it},{obj:.17g},{r:.17g},{s:.17g}\n")
+
+
+def _admm(c: np.ndarray, opts: SolverOptions):
+    """Maximize <c, X> over PSD X >= 0 with unit diagonal. Returns (X,
+    iterations, primal_res, dual_res, converged, upper_bound)."""
     n = c.shape[0]
     rho = opts.penalty
     z = np.eye(n)
@@ -130,23 +183,18 @@ def _admm(c: np.ndarray, nonneg: bool, opts: SolverOptions):
     r_inf = s_inf = np.inf
     converged = False
 
-    log = open(opts.iterate_log, "w") if opts.iterate_log else None
-    if log:
-        log.write("iteration,objective,primal_residual,dual_residual\n")
-
     it = 0
-    try:
+    with _iterate_log(opts.iterate_log) as log:
         for it in range(1, opts.max_iters + 1):
             x = _psd_project(z - u + c / rho)
-            z_new = _box_project(x + u, nonneg)
+            z_new = _box_project(x + u)
             r_inf = float(np.abs(x - z_new).max())
             s_inf = float(rho * np.abs(z_new - z).max())
             z = z_new
             u += x - z
 
             obj = float((c * x).sum())
-            if log:
-                log.write(f"{it},{obj:.17g},{r_inf:.17g},{s_inf:.17g}\n")
+            log(it, obj, r_inf, s_inf)
 
             if (
                 r_inf <= stop_tol
@@ -166,21 +214,58 @@ def _admm(c: np.ndarray, nonneg: bool, opts: SolverOptions):
                 elif s_inf > 10.0 * r_inf:
                     rho /= 2.0
                     u *= 2.0
-    finally:
-        if log:
-            log.close()
 
-    return x, it, r_inf, s_inf, converged
+    # rho * u tends to the box constraint's multiplier Diag(y) - N; its
+    # negation gives another (y, N). Both bounds are valid, so keep the
+    # smaller.
+    dual = rho * u
+    off = dual - np.diag(np.diag(dual))
+    bound = min(
+        _dual_bound(c, s * np.diag(dual), np.clip(-s * off, 0.0, None))
+        for s in (1.0, -1.0)
+    )
+    return x, it, r_inf, s_inf, converged, bound
 
 
-def _repair(x: np.ndarray, nonneg: bool) -> np.ndarray:
+def _mixing(c: np.ndarray, opts: SolverOptions):
+    """Maximize <c, (X+1)/2> over PSD X with unit diagonal as X = V V^T.
+    Returns (V, sweeps, primal_res, gap, converged, upper_bound)."""
+    n = c.shape[0]
+    rank = math.ceil(math.sqrt(2 * n)) + 1
+    v = np.random.default_rng(_MIXING_SEED).standard_normal((n, rank))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    shift = float(c.sum())
+    primal = gap = bound = np.inf
+    converged = False
+
+    it = 0
+    with _iterate_log(opts.iterate_log) as log:
+        for it in range(1, opts.max_iters + 1):
+            for i in range(n):
+                g = c[i] @ v - c[i, i] * v[i]
+                norm = math.sqrt(g @ g)
+                if norm > 0.0:
+                    v[i] = g / norm
+            # y_i = (Q V V^T)_ii, the multiplier of the constraint X_ii = 1
+            y = np.einsum("ij,ij->i", c @ v, v)
+            objective = (float(y.sum()) + shift) / 2.0
+            bound = (_dual_bound(c, y) + shift) / 2.0
+            gap = bound - objective
+            primal = float(np.abs(np.einsum("ij,ij->i", v, v) - 1.0).max())
+            log(it, objective, primal, gap)
+            if gap <= opts.tol_obj * max(1.0, abs(objective)):
+                converged = True
+                break
+    return v, it, primal, gap, converged, bound
+
+
+def _repair(x: np.ndarray) -> np.ndarray:
     """Pull an iterate back to the feasible set: rescale the diagonal to
-    exactly 1, clamp negatives (full problem only), then one PSD projection.
-    The residual-sized drift this leaves is covered by tol_feas."""
+    exactly 1, clamp negatives, then one PSD projection. The residual-sized
+    drift this leaves is covered by tol_feas."""
     dg = np.sqrt(np.clip(np.diag(x), 1e-12, None))
     out = x / np.outer(dg, dg)
-    if nonneg:
-        np.clip(out, 0.0, None, out=out)
+    np.clip(out, 0.0, None, out=out)
     out = _psd_project((out + out.T) / 2.0)
     return out
 
@@ -194,8 +279,8 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     converged=False; the caller decides what to do with it.
     """
     opts = opts or SolverOptions()
-    x, iters, r_inf, s_inf, converged = _admm(qm.entries, nonneg=True, opts=opts)
-    x = _repair(x, nonneg=True)
+    x, iters, r_inf, s_inf, converged, bound = _admm(qm.entries, opts)
+    x = _repair(x)
 
     pos = qm.entries >= 0
     z_plus = float((qm.entries * x)[pos].sum()) / qm.q_mass
@@ -204,6 +289,7 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     return SdpSolution(
         gram=x,
         objective=objective,
+        upper_bound=bound,
         z_plus=z_plus,
         z_minus=z_minus,
         kind="full",
@@ -215,11 +301,13 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
 
 
 def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
-    """Solve the bipartition relaxation (no nonnegativity constraint).
+    """Solve the bipartition relaxation (no nonnegativity constraint) by the
+    mixing method; ``tol_feas`` and ``penalty`` play no part.
 
     Only undirected and weighted inputs are meaningful here; other variants
     are rejected. z_plus is the coupling term of the objective and z_minus
-    the null-model term, so objective == z_plus + z_minus.
+    the null-model term, so objective == z_plus + z_minus. The residuals
+    are max_i |v_i . v_i - 1| and the dual gap.
     """
     if qm.graph.variant not in ("undirected", "weighted"):
         raise ValueError(
@@ -227,10 +315,8 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
             f"graphs, not {qm.graph.variant!r}"
         )
     opts = opts or SolverOptions()
-    # <Q, (X+1)/2> and <Q, X> differ by the constant sum(Q)/2 = 0, so the
-    # same linear term drives the iteration.
-    x, iters, r_inf, s_inf, converged = _admm(qm.entries, nonneg=False, opts=opts)
-    x = _repair(x, nonneg=False)
+    v, sweeps, primal, gap, converged, bound = _mixing(qm.entries, opts)
+    x = v @ v.T
 
     coupling, null, _ = summands(qm.graph)
     shifted = x + 1.0
@@ -240,13 +326,15 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
     return SdpSolution(
         gram=x,
         objective=objective,
+        upper_bound=bound,
         z_plus=z_plus,
         z_minus=z_minus,
         kind="cut",
-        iterations=iters,
-        primal_residual=r_inf,
-        dual_residual=s_inf,
+        iterations=sweeps,
+        primal_residual=primal,
+        dual_residual=gap,
         converged=converged,
+        factor=v,
     )
 
 

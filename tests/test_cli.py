@@ -43,12 +43,12 @@ class TestSolve:
         assert payload["config"]["tol_feas"] == 1e-7
         assert payload["solver"]["converged"] is True
         assert sorted(payload["partition"]["assign"]) == [0, 0, 0, 1, 1, 1]
-        for key in (
-            "upper_bound", "q_mass", "z_plus", "z_minus", "k_star",
-            "expectation_floor", "additive_certificate", "best_score",
+        assert list(report) == [
+            "upper_bound", "relaxation_value", "q_mass", "z_plus", "z_minus",
+            "k_star", "expectation_floor", "additive_certificate", "best_score",
             "trials", "seed",
-        ):
-            assert key in report
+        ]
+        assert report["upper_bound"] >= report["relaxation_value"]
 
     def test_byte_identical_reruns(self, tri2_file, tmp_path):
         out_a = tmp_path / "a.json"
@@ -222,6 +222,32 @@ class TestCut:
         path = tmp_path / "d.txt"
         path.write_text("0 1\n1 2\n2 0\n")
         assert main(["cut", "--input", str(path), "--variant", "directed"]) == 2
+
+    def test_config_echoes_only_mixing_knobs(self, tri2_file, capsys):
+        assert main(["cut", "--input", tri2_file, "--trials", "5"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert list(config) == ["command", "input", "variant", "trials", "seed",
+                                "tol_obj", "max_iters", "format"]
+
+    @pytest.mark.parametrize("flag", ["--penalty", "--tol-feas"])
+    def test_admm_knobs_rejected(self, tri2_file, tmp_path, flag):
+        # the mixing method has no penalty or feasibility tolerance
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["cut", "--input", tri2_file, flag, "0.5", "--output", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert main(["solve", "--input", tri2_file, flag, "0.5", "--trials", "5",
+                     "--output", str(out)]) == 0
+
+    def test_upper_bound_is_dual_bound(self, tri2_file, tmp_path):
+        out = tmp_path / "cut.json"
+        assert main(["cut", "--input", tri2_file, "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        report = payload["report"]
+        gap = report["upper_bound"] - report["relaxation_value"]
+        assert 0.0 <= gap <= payload["config"]["tol_obj"]
+        assert report["additive_certificate"] == report["upper_bound"] - 0.16598
 
 
 class TestExact:

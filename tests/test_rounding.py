@@ -184,7 +184,7 @@ class TestRoundCut:
         sol = solve_cut_sdp(qm)
         _, report = round_cut(qm, sol, trials=10, seed=0)
         assert report.additive_certificate == pytest.approx(
-            sol.objective - 0.16598, abs=1e-15
+            sol.upper_bound - 0.16598, abs=1e-15
         )
 
     def test_expectation_floor_holds(self):
@@ -246,9 +246,12 @@ SOLVERS = {"full": solve_full_sdp, "cut": solve_cut_sdp}
 
 
 def _relaxed(name, kind):
+    # the embedding each rounding entry point cuts: the Gram factor for the
+    # full relaxation, the solver's own unit-row factor for the cut one
     qm = build_q(FIXTURES[name]())
     sol = SOLVERS[kind](qm)
-    return qm, sol, gram_vectors(sol)
+    emb = gram_vectors(sol) if kind == "full" else VectorEmbedding(sol.factor)
+    return qm, sol, emb
 
 
 class TestBatchedMatchesPerTrial:

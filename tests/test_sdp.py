@@ -1,18 +1,30 @@
+import json
+
 import numpy as np
 import pytest
 
 from modkit import (
+    Graph,
     SdpSolution,
     SolverOptions,
     build_q,
     exact_cut,
     exact_full,
     gram_vectors,
+    render_edge_list,
+    round_cut,
+    round_full,
     solve_cut_sdp,
     solve_full_sdp,
 )
+from modkit.cli import main as cli_main
 
 import fixtures
+
+CORPUS = (
+    fixtures.named_fixtures() + fixtures.random_corpus() + fixtures.cut_extra_corpus()
+)
+CUT_CORPUS = [(name, g) for name, g in CORPUS if g.variant in ("undirected", "weighted")]
 
 
 def feasibility_residuals(sol, nonneg: bool):
@@ -177,12 +189,126 @@ class TestCutSolve:
             assert sol.objective >= opt - 1e-6, name
 
 
+class TestMixingSolver:
+    def test_deterministic_bitwise(self, tmp_path):
+        qm = build_q(fixtures.petersen())
+        log_a = tmp_path / "a.csv"
+        log_b = tmp_path / "b.csv"
+        sol_a = solve_cut_sdp(qm, SolverOptions(iterate_log=str(log_a)))
+        sol_b = solve_cut_sdp(qm, SolverOptions(iterate_log=str(log_b)))
+        assert np.array_equal(sol_a.gram, sol_b.gram)
+        assert np.array_equal(sol_a.factor, sol_b.factor)
+        assert sol_a.iterations == sol_b.iterations
+        assert sol_a.upper_bound == sol_b.upper_bound
+        assert log_a.read_bytes() == log_b.read_bytes()
+
+    def test_factor_has_unit_rows_and_rank(self):
+        for name, g in CUT_CORPUS:
+            sol = solve_cut_sdp(build_q(g))
+            assert sol.factor.shape == (g.n, int(np.ceil(np.sqrt(2 * g.n))) + 1)
+            assert np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0).max() <= 1e-15
+            assert np.array_equal(sol.gram, sol.factor @ sol.factor.T), name
+
+    def test_dual_gap_within_tolerance(self):
+        tol = SolverOptions().tol_obj
+        for name, g in CUT_CORPUS:
+            sol = solve_cut_sdp(build_q(g))
+            assert sol.converged, name
+            assert 0.0 <= sol.upper_bound - sol.objective, name
+            assert sol.upper_bound - sol.objective <= tol * max(1.0, abs(sol.objective)), name
+            assert sol.dual_residual <= tol * max(1.0, abs(sol.objective)), name
+
+    def test_one_sweep_not_converged_but_sound(self):
+        for name in ("p3", "star3", "petersen", "w_path"):
+            qm = build_q(dict(fixtures.named_fixtures())[name])
+            sol = solve_cut_sdp(qm, SolverOptions(max_iters=1))
+            assert not sol.converged, name
+            assert sol.iterations == 1
+            assert sol.upper_bound >= exact_cut(qm).opt_value, name
+            assert sol.upper_bound >= sol.objective, name
+
+    def test_isolated_vertex(self):
+        # vertex 4 has no edge, so its row of Q is zero and it is never moved
+        g = Graph(n=5, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)),
+                  variant="undirected")
+        qm = build_q(g)
+        assert not qm.entries[4].any()
+        sol = solve_cut_sdp(qm)
+        first = solve_cut_sdp(qm, SolverOptions(max_iters=1))
+        assert sol.converged
+        assert np.all(np.isfinite(sol.gram))
+        assert np.array_equal(sol.factor[4], first.factor[4])
+        assert sol.upper_bound >= exact_cut(qm).opt_value
+        best, _ = round_cut(qm, sol, trials=50, seed=0)
+        assert best.score == pytest.approx(exact_cut(qm).opt_value, abs=1e-12)
+
+    def test_cut_iterate_log(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text(render_edge_list(fixtures.petersen()))
+        log = tmp_path / "iters.csv"
+        out = tmp_path / "r.json"
+        code = cli_main(["cut", "--input", str(graph), "--iterate-log", str(log),
+                         "--output", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        lines = log.read_text().strip().splitlines()
+        assert lines[0] == "iteration,objective,primal_residual,dual_residual"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert len(rows) == payload["solver"]["iterations"] > 1
+        assert np.array_equal(rows[:, 0], np.arange(1, len(rows) + 1))
+        # primal residual max_i |v_i . v_i - 1|, dual residual the gap
+        assert rows[:, 2].max() <= 1e-15
+        last = rows[-1]
+        assert last[2] == payload["solver"]["primal_residual"]
+        assert last[3] == payload["solver"]["dual_residual"]
+        report = payload["report"]
+        assert last[1] == pytest.approx(report["relaxation_value"], abs=1e-12)
+        assert last[3] == pytest.approx(
+            report["upper_bound"] - report["relaxation_value"], abs=1e-12
+        )
+        assert np.all(rows[:-1, 3] > SolverOptions().tol_obj)
+
+
+@pytest.fixture(scope="module")
+def exact_optima():
+    """Exact full optima for n <= 10 and exact bipartition optima for the
+    undirected/weighted graphs of the corpus."""
+    full, cut = {}, {}
+    for name, g in CORPUS:
+        qm = build_q(g)
+        if g.n <= 10:
+            full[name] = (qm, exact_full(qm).opt_value)
+        if g.variant in ("undirected", "weighted"):
+            cut[name] = (qm, exact_cut(qm).opt_value)
+    return full, cut
+
+
+class TestReportedBoundIsSound:
+    @pytest.mark.parametrize("max_iters", [5, 20, 50, None])
+    def test_upper_bound_dominates_exact_optimum(self, exact_optima, max_iters):
+        # the reported bound must hold however early the solver stopped
+        opts = SolverOptions() if max_iters is None else SolverOptions(max_iters=max_iters)
+        full, cut = exact_optima
+        below = []
+        for problem, solve, round_, optima in (
+            ("full", solve_full_sdp, round_full, full),
+            ("cut", solve_cut_sdp, round_cut, cut),
+        ):
+            for name, (qm, opt) in optima.items():
+                _, report = round_(qm, solve(qm, opts), trials=1, seed=0)
+                if report.upper_bound < opt:
+                    below.append((problem, name, report.upper_bound, opt))
+        assert len(full) + len(cut) == 130
+        assert not below
+
+
 class TestGramVectors:
     @staticmethod
     def _solution_from_gram(x):
         return SdpSolution(
             gram=np.asarray(x, dtype=float),
             objective=0.0,
+            upper_bound=0.0,
             z_plus=0.0,
             z_minus=0.0,
             kind="full",
