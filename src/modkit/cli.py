@@ -94,13 +94,16 @@ def _load_graph(args):
     return parse_edge_list(text, args.variant)
 
 
-# Solver knobs in config-echo order; ``cut`` takes only those its solver
-# uses (not tol_feas or penalty).
-_SOLVER_KNOBS = ("tol_feas", "tol_obj", "max_iters", "penalty")
+# Solver knobs of each command in config-echo order; the mixing method
+# behind ``cut`` uses neither tol_feas nor penalty.
+_SOLVER_KNOBS = {
+    "solve": ("tol_feas", "tol_obj", "max_iters", "penalty"),
+    "cut": ("tol_obj", "max_iters"),
+}
 
 
 def _solver_knobs(args) -> dict:
-    return {key: getattr(args, key) for key in _SOLVER_KNOBS if key in args}
+    return {key: getattr(args, key) for key in _SOLVER_KNOBS[args.command]}
 
 
 def _solver_options(args) -> SolverOptions:

@@ -76,9 +76,11 @@ class GuaranteeReport:
     ``z_plus``/``z_minus`` are that solution's mass averages, from which
     ``expectation_floor``, the guaranteed expected score of a single trial,
     is computed. ``additive_certificate`` is the guaranteed score floor,
-    ``upper_bound`` minus the applicable error term. The returned best
-    score always sits above the expectation floor's long-run average, and
-    max >= mean keeps every certificate valid for it.
+    ``relaxation_value`` minus the applicable error term: the rounding
+    guarantee holds for the solution that was rounded, so the certificate
+    sits at or below ``expectation_floor`` however early the solve stopped.
+    The returned best score always sits above the expectation floor's
+    long-run average, and max >= mean keeps every certificate valid for it.
     """
 
     upper_bound: float
@@ -191,8 +193,8 @@ def round_full(
     """Best of ``trials`` adaptive-count hyperplane roundings.
 
     The report carries the expectation floor q * (f_k(z+) + h_k(-z-)) and
-    the additive certificate upper_bound - q * g_k(z+), both at the chosen
-    hyperplane count.
+    the additive certificate relaxation_value - q * g_k(z+), both at the
+    chosen hyperplane count.
     """
     if sol.kind != "full":
         raise ValueError("round_full needs a full-relaxation solution")
@@ -204,7 +206,7 @@ def round_full(
 
     q = qm.q_mass
     floor = q * (bounds.f_k(z_plus, k_star) + bounds.h_k(-z_minus, k_star))
-    certificate = sol.upper_bound - q * bounds.g_k(z_plus, k_star)
+    certificate = sol.objective - q * bounds.g_k(z_plus, k_star)
     report = GuaranteeReport(
         upper_bound=sol.upper_bound,
         relaxation_value=sol.objective,
@@ -227,10 +229,10 @@ def round_cut(
     """Best of ``trials`` single-hyperplane bipartitions.
 
     The report carries the envelope floor p+(2z+ - 1) + p-(-1 - 2z-) and
-    the additive certificate upper_bound - 0.16598. The hyperplanes cut the
-    solver's unit-row factor V directly. A draw that leaves every vector on
-    one side yields the single-cluster partition (score 0), which is a
-    valid bipartition with an empty side.
+    the additive certificate relaxation_value - 0.16598. The hyperplanes
+    cut the solver's unit-row factor V directly. A draw that leaves every
+    vector on one side yields the single-cluster partition (score 0), which
+    is a valid bipartition with an empty side.
     """
     if sol.kind != "cut":
         raise ValueError("round_cut needs a bipartition-relaxation solution")
@@ -249,7 +251,7 @@ def round_cut(
         z_minus=sol.z_minus,
         k_star=1,
         expectation_floor=p_plus + p_minus,
-        additive_certificate=sol.upper_bound - CUT_ERROR_BUDGET,
+        additive_certificate=sol.objective - CUT_ERROR_BUDGET,
         best_score=best.score,
         trials=trials,
         seed=seed,

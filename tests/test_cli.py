@@ -247,7 +247,7 @@ class TestCut:
         report = payload["report"]
         gap = report["upper_bound"] - report["relaxation_value"]
         assert 0.0 <= gap <= payload["config"]["tol_obj"]
-        assert report["additive_certificate"] == report["upper_bound"] - 0.16598
+        assert report["additive_certificate"] == report["relaxation_value"] - 0.16598
 
 
 class TestExact:

@@ -64,6 +64,7 @@ def test_full_upper_bound_dominates(g, max_iters, seed):
     assert report.relaxation_value == sol.objective
     assert report.upper_bound >= report.best_score == best.score
     assert report.upper_bound >= report.relaxation_value
+    assert report.expectation_floor >= report.additive_certificate - 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -76,4 +77,5 @@ def test_cut_upper_bound_dominates(g, max_iters, seed):
     assert report.relaxation_value == sol.objective
     assert report.upper_bound >= report.best_score == best.score
     assert report.upper_bound >= report.relaxation_value
+    assert report.expectation_floor >= report.additive_certificate - 1e-12
     assert best.partition.k <= 2

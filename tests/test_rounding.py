@@ -184,7 +184,7 @@ class TestRoundCut:
         sol = solve_cut_sdp(qm)
         _, report = round_cut(qm, sol, trials=10, seed=0)
         assert report.additive_certificate == pytest.approx(
-            sol.upper_bound - 0.16598, abs=1e-15
+            sol.objective - 0.16598, abs=1e-15
         )
 
     def test_expectation_floor_holds(self):
