@@ -95,19 +95,15 @@ def _load_graph(args):
 
 
 # Solver knobs of each command in config-echo order; the mixing method
-# behind ``cut`` uses neither tol_feas nor penalty.
+# behind ``cut`` does not use tol_feas.
 _SOLVER_KNOBS = {
-    "solve": ("tol_feas", "tol_obj", "max_iters", "penalty"),
+    "solve": ("tol_feas", "tol_obj", "max_iters"),
     "cut": ("tol_obj", "max_iters"),
 }
 
 
 def _solver_knobs(args) -> dict:
     return {key: getattr(args, key) for key in _SOLVER_KNOBS[args.command]}
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(**_solver_knobs(args), iterate_log=args.iterate_log)
 
 
 def _resolve_seed(args) -> int:
@@ -133,7 +129,7 @@ def _config_echo(args, seed: int) -> dict:
 def _run_rounding_command(args) -> int:
     graph = _load_graph(args)
     qm = build_q(graph)
-    opts = _solver_options(args)
+    opts = SolverOptions(**_solver_knobs(args), iterate_log=args.iterate_log)
     seed = _resolve_seed(args)
     # checked here as well as by the rounding, so that a bad trial count or
     # output path fails before the solve instead of after it
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="full relaxation + adaptive rounding")
     add_graph_args(p_solve, with_rounding=True)
     p_solve.add_argument("--tol-feas", dest="tol_feas", type=float, default=1e-7)
-    p_solve.add_argument("--penalty", type=float, default=1.0)
 
     p_cut = sub.add_parser("cut", help="bipartition relaxation + one hyperplane")
     add_graph_args(p_cut, with_rounding=True)

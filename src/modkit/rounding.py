@@ -1,7 +1,8 @@
 """Random-hyperplane rounding of relaxation solutions.
 
 Each trial draws k standard-normal directions and assigns every vertex the
-sign pattern of its embedding vector against them, giving at most 2**k
+sign pattern of its embedding vector against them (row i of the solver's
+unit-row factor, for either relaxation), giving at most 2**k
 clusters (k = 1 for the bipartition scheme). The hyperplane count for the
 full scheme is chosen adaptively from the solution's positive-mass average
 so that the guaranteed expectation floor is as high as possible.
@@ -229,14 +230,13 @@ def round_cut(
     """Best of ``trials`` single-hyperplane bipartitions.
 
     The report carries the envelope floor p+(2z+ - 1) + p-(-1 - 2z-) and
-    the additive certificate relaxation_value - 0.16598. The hyperplanes
-    cut the solver's unit-row factor V directly. A draw that leaves every
-    vector on one side yields the single-cluster partition (score 0), which
-    is a valid bipartition with an empty side.
+    the additive certificate relaxation_value - 0.16598. A draw that leaves
+    every vector on one side yields the single-cluster partition (score 0),
+    which is a valid bipartition with an empty side.
     """
     if sol.kind != "cut":
         raise ValueError("round_cut needs a bipartition-relaxation solution")
-    emb = VectorEmbedding(sol.factor)
+    emb = gram_vectors(sol)
     best = _best_of_trials(qm, emb, 1, trials, seed)
 
     plus_arg = float(np.clip(2.0 * sol.z_plus - 1.0, -1.0, 1.0))

@@ -8,7 +8,8 @@ Two problems, one solver each:
   splitting (ADMM): alternating projections onto the PSD cone (one
   symmetric eigendecomposition per iteration) and onto the nonnegative
   unit-diagonal matrices, with scaled dual updates and a penalty that
-  self-tunes by residual balancing.
+  self-tunes by residual balancing. A last PSD projection repairs the
+  final iterate, and its eigenpairs give the solution's factor.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
   modularity over bipartitions. It is solved by the mixing method (Wang,
@@ -17,9 +18,10 @@ Two problems, one solver each:
   sum of the others. The updates need no eigendecomposition; each sweep
   runs one symmetric eigenvalue solve (eigvalsh) for its dual bound.
 
-Both solvers report a dual upper bound that holds at any iterate, converged
-or not (Jansson, Chaykowski & Keil 2007): for any vector y and any
-symmetric N >= 0 with zero diagonal, every feasible X has
+Both solvers return a unit-row factor of their solution for the rounding
+to cut, and a dual upper bound that holds at any iterate, converged or not
+(Jansson, Chaykowski & Keil 2007): for any vector y and any symmetric
+N >= 0 with zero diagonal, every feasible X has
 <Q, X> <= sum(y) + n * max(0, lambda_max(Q + N - Diag y)). The full solver
 takes y and N from its last dual iterate; the mixing method takes
 y = diag(Q V V^T), and stops when this bound is within ``tol_obj`` of the
@@ -52,31 +54,30 @@ __all__ = [
 # only on its graph.
 _MIXING_SEED = 0
 
+# ADMM's initial penalty (splitting step size); residual balancing retunes it.
+_INITIAL_PENALTY = 1.0
+
 
 @dataclass
 class SolverOptions:
     """Solver knobs. ``tol_obj`` bounds the relative objective change (full)
     or dual gap (bipartition) at convergence, and ``max_iters`` counts ADMM
-    iterations or mixing sweeps. ``tol_feas`` and ``penalty`` drive ADMM
-    only and have no effect on ``solve_cut_sdp``: ``penalty`` is the
-    initial splitting step size, rescaled automatically when the
-    primal/dual residual ratio drifts past 10.
-    ``iterate_log`` optionally names a CSV file receiving one row per
-    iteration (iteration, objective, primal_residual, dual_residual)."""
+    iterations or mixing sweeps. ``tol_feas`` drives ADMM only and has no
+    effect on ``solve_cut_sdp``. Both tolerances must be finite and
+    positive. ``iterate_log`` optionally names a CSV file receiving one row
+    per iteration (iteration, objective, primal_residual, dual_residual)."""
 
     tol_feas: float = 1e-7
     tol_obj: float = 1e-6
     max_iters: int = 50000
-    penalty: float = 1.0
     iterate_log: str | None = None
 
     def __post_init__(self):
-        if self.tol_feas <= 0 or self.tol_obj <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.tol_feas, self.tol_obj):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError("tolerances must be finite and positive")
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,14 @@ class SdpSolution:
     rounding guarantees consume them. ``objective`` is evaluated on
     ``gram`` itself. ``upper_bound`` is the dual bound on the relaxation
     optimum, and so on the best partition's score; it holds whether or not
-    the solve converged. For kind="cut", ``factor`` is the unit-row V with
-    ``gram`` = V V^T; it is None for kind="full".
+    the solve converged. ``factor`` V has unit rows, and V V^T is ``gram``
+    exactly for kind="cut". For kind="full" it is the repair projection's
+    factor with rows normalized, which moves no entry of V V^T by more than
+    max(diag(gram)) - 1, under twice the feasibility tolerance once converged.
     """
 
     gram: np.ndarray
+    factor: np.ndarray
     objective: float
     upper_bound: float
     z_plus: float
@@ -103,12 +107,10 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     converged: bool
-    factor: np.ndarray | None = None
 
     def __post_init__(self):
         self.gram.setflags(write=False)
-        if self.factor is not None:
-            self.factor.setflags(write=False)
+        self.factor.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,6 @@ class VectorEmbedding:
             raise ValueError("embedding rows must be unit vectors")
 
     @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
@@ -136,6 +134,16 @@ def _psd_project(mat: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(mat)
     np.clip(w, 0.0, None, out=w)
     return (u * w) @ u.T
+
+
+def _psd_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_psd_project(mat)`` and, from the same eigenpairs, its factor with
+    each row normalized to unit length."""
+    w, u = np.linalg.eigh(mat)
+    np.clip(w, 0.0, None, out=w)
+    factor = (u * np.sqrt(w))[:, w > 0.0]
+    factor /= np.linalg.norm(factor, axis=1)[:, None]
+    return (u * w) @ u.T, factor
 
 
 def _box_project(mat: np.ndarray) -> np.ndarray:
@@ -175,9 +183,12 @@ def _iterate_log(path: str | None):
 
 def _admm(c: np.ndarray, opts: SolverOptions):
     """Maximize <c, X> over PSD X >= 0 with unit diagonal. Returns (X,
-    iterations, primal_res, dual_res, converged, upper_bound)."""
+    iterations, primal_res, dual_res, converged, upper_bound). Residual
+    balancing keeps the two projection sequences in step: every 10
+    iterations the penalty rho is doubled (halved) when the primal (dual)
+    residual exceeds 10 times the other, and u is rescaled to match."""
     n = c.shape[0]
-    rho = opts.penalty
+    rho = _INITIAL_PENALTY
     z = np.eye(n)
     u = np.zeros((n, n))
     stop_tol = opts.tol_feas / 4.0
@@ -209,7 +220,6 @@ def _admm(c: np.ndarray, opts: SolverOptions):
                 break
             obj_prev = obj
 
-            # Residual balancing keeps the two projection sequences in step.
             if it % 10 == 0:
                 if r_inf > 10.0 * s_inf:
                     rho *= 2.0
@@ -266,15 +276,14 @@ def _mixing(c: np.ndarray, opts: SolverOptions):
     return v, it, objective, primal, gap, converged, bound
 
 
-def _repair(x: np.ndarray) -> np.ndarray:
+def _repair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pull an iterate back to the feasible set: rescale the diagonal to
-    exactly 1, clamp negatives, then one PSD projection. The residual-sized
-    drift this leaves is covered by tol_feas."""
+    exactly 1, clamp negatives, then one PSD projection. Returns it with its
+    factor; the residual-sized drift this leaves is covered by tol_feas."""
     dg = np.sqrt(np.clip(np.diag(x), 1e-12, None))
     out = x / np.outer(dg, dg)
     np.clip(out, 0.0, None, out=out)
-    out = _psd_project((out + out.T) / 2.0)
-    return out
+    return _psd_factor((out + out.T) / 2.0)
 
 
 def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
@@ -287,7 +296,7 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     """
     opts = opts or SolverOptions()
     x, iters, r_inf, s_inf, converged, bound = _admm(qm.entries, opts)
-    x = _repair(x)
+    x, factor = _repair(x)
 
     pos = qm.entries >= 0
     z_plus = float((qm.entries * x)[pos].sum()) / qm.q_mass
@@ -295,6 +304,7 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     objective = float((qm.entries * x).sum())
     return SdpSolution(
         gram=x,
+        factor=factor,
         objective=objective,
         upper_bound=bound,
         z_plus=z_plus,
@@ -309,7 +319,7 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
 
 def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve the bipartition relaxation (no nonnegativity constraint) by the
-    mixing method; ``tol_feas`` and ``penalty`` play no part.
+    mixing method; ``tol_feas`` plays no part.
 
     Only undirected and weighted inputs are meaningful here; other variants
     are rejected. z_plus is the coupling term of the objective and z_minus
@@ -331,6 +341,7 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
     z_minus = -float((null * shifted).sum()) / 2.0
     return SdpSolution(
         gram=x,
+        factor=v,
         objective=objective,
         upper_bound=bound,
         z_plus=z_plus,
@@ -340,21 +351,11 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
         primal_residual=primal,
         dual_residual=gap,
         converged=converged,
-        factor=v,
     )
 
 
 def gram_vectors(sol: SdpSolution) -> VectorEmbedding:
-    """Factor the solution into unit vectors with pairwise dot products
-    matching the solution entries (within twice the feasibility tolerance).
-
-    Eigenvalues are clamped at zero, so the factorization is total; the
-    embedding dimension is the rank that survives clamping.
-    """
-    w, u = np.linalg.eigh(sol.gram)
-    np.clip(w, 0.0, None, out=w)
-    keep = w > 0.0
-    vectors = u[:, keep] * np.sqrt(w[keep])
-    norms = np.linalg.norm(vectors, axis=1)
-    vectors = vectors / np.clip(norms, 1e-300, None)[:, None]
-    return VectorEmbedding(vectors=vectors)
+    """The solution's unit-row factor as the embedding that the rounding
+    cuts: row i is the vector of vertex i, and the pairwise dot products
+    match the solution entries as ``SdpSolution.factor`` states."""
+    return VectorEmbedding(sol.factor)

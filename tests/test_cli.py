@@ -193,6 +193,36 @@ class TestSolve:
             assert code == 2
             assert "out of float64 range" in capsys.readouterr().err
 
+    def test_penalty_rejected(self, tri2_file, tmp_path):
+        # ADMM's penalty starts at a constant that residual balancing retunes
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", tri2_file, "--penalty", "2", "--output", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert main(["solve", "--input", tri2_file, "--tol-feas", "0.5", "--trials", "5",
+                     "--output", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert list(config) == ["command", "input", "variant", "trials", "seed",
+                                "tol_feas", "tol_obj", "max_iters", "format"]
+        assert config["tol_feas"] == 0.5
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, flag", [("solve", "--tol-obj"), ("solve", "--tol-feas"), ("cut", "--tol-obj")]
+    )
+    def test_non_finite_tolerance_rejected(self, tri2_file, tmp_path, capsys,
+                                           command, flag, value):
+        # rejected before the solve: no report, no iterate log
+        out = tmp_path / "r.json"
+        log = tmp_path / "log.csv"
+        code = main([command, "--input", tri2_file, flag, value,
+                     "--output", str(out), "--iterate-log", str(log)])
+        assert code == 2
+        assert not out.exists()
+        assert not log.exists()
+        assert "tolerances must be finite and positive" in capsys.readouterr().err
+
     def test_iterate_log_written(self, k2_file, tmp_path):
         log = tmp_path / "iters.csv"
         main(["solve", "--input", k2_file, "--iterate-log", str(log),
@@ -231,14 +261,13 @@ class TestCut:
 
     @pytest.mark.parametrize("flag", ["--penalty", "--tol-feas"])
     def test_admm_knobs_rejected(self, tri2_file, tmp_path, flag):
-        # the mixing method has no penalty or feasibility tolerance
+        # the mixing method has no feasibility tolerance, and no command has
+        # a penalty knob
         out = tmp_path / "r.json"
         with pytest.raises(SystemExit) as exc:
             main(["cut", "--input", tri2_file, flag, "0.5", "--output", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
-        assert main(["solve", "--input", tri2_file, flag, "0.5", "--trials", "5",
-                     "--output", str(out)]) == 0
 
     def test_upper_bound_is_dual_bound(self, tri2_file, tmp_path):
         out = tmp_path / "cut.json"

@@ -1,5 +1,7 @@
-"""Property tests of the reported certificates on random graphs."""
+"""Property tests of the reported certificates and of the solvers' unit-row
+factors on random graphs."""
 
+import numpy as np
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
@@ -55,11 +57,25 @@ def _coefficients(g):
         reject()
 
 
+def _unit_rows(sol, n):
+    """Assert that the factor has one unit row per vertex, and return the
+    largest entry of |V V^T - gram|."""
+    assert sol.factor.shape[0] == n
+    assert np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0).max() <= 1e-9
+    return np.abs(sol.factor @ sol.factor.T - sol.gram).max()
+
+
 @PROPERTY_SETTINGS
 @given(g=graphs(), max_iters=MAX_ITERS, seed=st.integers(0, 2**64 - 1))
 def test_full_upper_bound_dominates(g, max_iters, seed):
     qm = _coefficients(g)
     sol = solve_full_sdp(qm, SolverOptions(max_iters=max_iters))
+    drift = _unit_rows(sol, g.n)
+    # normalizing the rows moves no entry by more than the largest diagonal
+    # entry's excess over 1, which the solver's convergence test keeps small
+    assert drift <= sol.gram.diagonal().max() - 1.0 + 1e-12
+    if sol.converged:
+        assert drift <= 2.0 * SolverOptions().tol_feas
     best, report = round_full(qm, sol, trials=20, seed=seed)
     assert report.relaxation_value == sol.objective
     assert report.upper_bound >= report.best_score == best.score
@@ -73,6 +89,7 @@ def test_full_upper_bound_dominates(g, max_iters, seed):
 def test_cut_upper_bound_dominates(g, max_iters, seed):
     qm = _coefficients(g)
     sol = solve_cut_sdp(qm, SolverOptions(max_iters=max_iters))
+    assert _unit_rows(sol, g.n) == 0.0
     best, report = round_cut(qm, sol, trials=20, seed=seed)
     assert report.relaxation_value == sol.objective
     assert report.upper_bound >= report.best_score == best.score

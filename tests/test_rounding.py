@@ -246,12 +246,10 @@ SOLVERS = {"full": solve_full_sdp, "cut": solve_cut_sdp}
 
 
 def _relaxed(name, kind):
-    # the embedding each rounding entry point cuts: the Gram factor for the
-    # full relaxation, the solver's own unit-row factor for the cut one
+    # the embedding both rounding entry points cut: the solver's own factor
     qm = build_q(FIXTURES[name]())
     sol = SOLVERS[kind](qm)
-    emb = gram_vectors(sol) if kind == "full" else VectorEmbedding(sol.factor)
-    return qm, sol, emb
+    return qm, sol, gram_vectors(sol)
 
 
 class TestBatchedMatchesPerTrial:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from modkit import (
     Graph,
-    SdpSolution,
     SolverOptions,
     build_q,
     exact_cut,
@@ -18,6 +18,7 @@ from modkit import (
     solve_full_sdp,
 )
 from modkit.cli import main as cli_main
+from modkit.sdp import _psd_factor
 
 import fixtures
 
@@ -41,15 +42,24 @@ class TestSolverOptions:
         assert opts.tol_feas == 1e-7
         assert opts.tol_obj == 1e-6
         assert opts.max_iters == 50000
-        assert opts.penalty == 1.0
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+            "tol_feas", "tol_obj", "max_iters", "iterate_log"
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(tol_feas=0.0)
         with pytest.raises(ValueError):
             SolverOptions(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverOptions(penalty=-1.0)
+        # ADMM's penalty is a module constant, not a knob
+        with pytest.raises(TypeError):
+            SolverOptions(penalty=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["tol_feas", "tol_obj"])
+    def test_non_finite_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverOptions(**{field: value})
 
 
 class TestFullSolve:
@@ -310,44 +320,58 @@ class TestReportedBoundIsSound:
 
 
 class TestGramVectors:
-    @staticmethod
-    def _solution_from_gram(x):
-        return SdpSolution(
-            gram=np.asarray(x, dtype=float),
-            objective=0.0,
-            upper_bound=0.0,
-            z_plus=0.0,
-            z_minus=0.0,
-            kind="full",
-            iterations=0,
-            primal_residual=0.0,
-            dual_residual=0.0,
-            converged=True,
-        )
+    # _psd_factor is the one place a Gram factor is computed: the full
+    # solver's repair projection returns it with the projection itself
 
     def test_identity_gives_orthonormal_vectors(self):
-        emb = gram_vectors(self._solution_from_gram(np.eye(3)))
-        assert emb.dim == 3
-        assert np.allclose(emb.vectors @ emb.vectors.T, np.eye(3), atol=1e-12)
+        proj, factor = _psd_factor(np.eye(3))
+        assert np.array_equal(proj, np.eye(3))
+        assert factor.shape == (3, 3)
+        assert np.allclose(factor @ factor.T, np.eye(3), atol=1e-12)
 
     def test_all_ones_gives_identical_vectors(self):
-        emb = gram_vectors(self._solution_from_gram(np.ones((3, 3))))
-        assert emb.dim == 1
-        assert np.allclose(emb.vectors @ emb.vectors.T, 1.0, atol=1e-12)
+        _, factor = _psd_factor(np.ones((3, 3)))
+        assert factor.shape == (3, 1)
+        assert np.allclose(factor @ factor.T, 1.0, atol=1e-12)
 
     def test_random_unit_diag_psd_reconstruction(self):
         rng = np.random.default_rng(99)
         v = rng.standard_normal((5, 3))
         v /= np.linalg.norm(v, axis=1)[:, None]
         x = v @ v.T
-        emb = gram_vectors(self._solution_from_gram(x))
-        recon = emb.vectors @ emb.vectors.T
-        assert np.abs(recon - x).max() <= 1e-7
+        proj, factor = _psd_factor(x)
+        assert np.abs(proj - x).max() <= 1e-7
+        assert np.abs(factor @ factor.T - x).max() <= 1e-7
 
-    def test_solver_output_reconstruction(self):
-        qm = build_q(fixtures.two_triangle_bridge())
+    @pytest.mark.parametrize("name", [name for name, _ in fixtures.named_fixtures()])
+    def test_solver_output_reconstruction(self, name):
+        qm = build_q(dict(fixtures.named_fixtures())[name])
         sol = solve_full_sdp(qm)
         emb = gram_vectors(sol)
         tol = 2.0 * SolverOptions().tol_feas
         assert np.abs(emb.vectors @ emb.vectors.T - sol.gram).max() <= tol
         assert np.allclose(np.linalg.norm(emb.vectors, axis=1), 1.0, atol=1e-9)
+
+    def test_rounding_factors_nothing(self, monkeypatch):
+        # both rounding entry points cut the solver's own factor; neither
+        # decomposes the solution again
+        qm = build_q(fixtures.two_triangle_bridge())
+        sols = {"full": solve_full_sdp(qm), "cut": solve_cut_sdp(qm)}
+        calls = []
+
+        def counting(attr):
+            fn = getattr(np.linalg, attr)
+
+            def wrapped(*args, **kwargs):
+                calls.append(attr)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for attr in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, attr, counting(attr))
+        round_full(qm, sols["full"], trials=20, seed=0)
+        round_cut(qm, sols["cut"], trials=20, seed=0)
+        for sol in sols.values():
+            assert np.array_equal(gram_vectors(sol).vectors, sol.factor)
+        assert calls == []
