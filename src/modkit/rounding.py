@@ -73,7 +73,7 @@ class GuaranteeReport:
     ``upper_bound`` is the solver's dual bound on the relaxation optimum, so
     it bounds the relevant partition optimum from above whether or not the
     solve converged. ``relaxation_value`` is the primal objective of the
-    returned solution; it sits at or below ``upper_bound``, by the dual gap.
+    returned solution V V^T; it sits at or below ``upper_bound``, by the dual gap.
     ``z_plus``/``z_minus`` are that solution's mass averages, from which
     ``expectation_floor``, the guaranteed expected score of a single trial,
     is computed. ``additive_certificate`` is the guaranteed score floor,
@@ -195,7 +195,8 @@ def round_full(
 
     The report carries the expectation floor q * (f_k(z+) + h_k(-z-)) and
     the additive certificate relaxation_value - q * g_k(z+), both at the
-    chosen hyperplane count.
+    chosen hyperplane count and with z- clipped to [-1, 0] (an early stop
+    can leave it above 0), so the certificate stays at or below the floor.
     """
     if sol.kind != "full":
         raise ValueError("round_full needs a full-relaxation solution")
@@ -207,7 +208,9 @@ def round_full(
 
     q = qm.q_mass
     floor = q * (bounds.f_k(z_plus, k_star) + bounds.h_k(-z_minus, k_star))
-    certificate = sol.objective - q * bounds.g_k(z_plus, k_star)
+    certificate = sol.objective - q * (
+        sol.z_minus - z_minus + bounds.g_k(z_plus, k_star)
+    )
     report = GuaranteeReport(
         upper_bound=sol.upper_bound,
         relaxation_value=sol.objective,

@@ -9,7 +9,7 @@ Two problems, one solver each:
   symmetric eigendecomposition per iteration) and onto the nonnegative
   unit-diagonal matrices, with scaled dual updates and a penalty that
   self-tunes by residual balancing. A last PSD projection repairs the
-  final iterate, and its eigenpairs give the solution's factor.
+  final iterate, and its eigenpairs, rows normalized, give the factor.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
   modularity over bipartitions. It is solved by the mixing method (Wang,
@@ -18,10 +18,11 @@ Two problems, one solver each:
   sum of the others. The updates need no eigendecomposition; each sweep
   runs one symmetric eigenvalue solve (eigvalsh) for its dual bound.
 
-Both solvers return a unit-row factor of their solution for the rounding
-to cut, and a dual upper bound that holds at any iterate, converged or not
-(Jansson, Chaykowski & Keil 2007): for any vector y and any symmetric
-N >= 0 with zero diagonal, every feasible X has
+Both solvers return their solution as a unit-row factor V: the solution is
+X = V V^T, every reported figure is evaluated on it, and the rounding cuts
+V itself. Each also returns a dual upper bound that holds at any iterate,
+converged or not (Jansson, Chaykowski & Keil 2007): for any vector y and
+any symmetric N >= 0 with zero diagonal, every feasible X has
 <Q, X> <= sum(y) + n * max(0, lambda_max(Q + N - Diag y)). The full solver
 takes y and N from its last dual iterate; the mixing method takes
 y = diag(Q V V^T), and stops when this bound is within ``tol_obj`` of the
@@ -84,19 +85,15 @@ class SolverOptions:
 class SdpSolution:
     """Solution of one relaxation.
 
-    ``gram`` is PSD with unit diagonal (within the feasibility tolerance)
-    and, for kind="full", entrywise nonnegative. ``z_plus``/``z_minus`` are
-    the positive- and negative-mass averages of the solution entries; the
-    rounding guarantees consume them. ``objective`` is evaluated on
-    ``gram`` itself. ``upper_bound`` is the dual bound on the relaxation
-    optimum, and so on the best partition's score; it holds whether or not
-    the solve converged. ``factor`` V has unit rows, and V V^T is ``gram``
-    exactly for kind="cut". For kind="full" it is the repair projection's
-    factor with rows normalized, which moves no entry of V V^T by more than
-    max(diag(gram)) - 1, under twice the feasibility tolerance once converged.
+    The solution is V V^T for the unit-row ``factor`` V, the factor that
+    the rounding cuts; for kind="full" its entries are nonnegative within
+    the feasibility tolerance once the solve converged. ``objective`` and
+    ``z_plus``/``z_minus``, the positive- and negative-mass averages that
+    the rounding guarantees consume, are evaluated on V V^T.
+    ``upper_bound`` is the dual bound on the relaxation optimum, and so on
+    the best partition's score; it holds whether or not the solve converged.
     """
 
-    gram: np.ndarray
     factor: np.ndarray
     objective: float
     upper_bound: float
@@ -109,7 +106,6 @@ class SdpSolution:
     converged: bool
 
     def __post_init__(self):
-        self.gram.setflags(write=False)
         self.factor.setflags(write=False)
 
 
@@ -136,14 +132,14 @@ def _psd_project(mat: np.ndarray) -> np.ndarray:
     return (u * w) @ u.T
 
 
-def _psd_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_psd_project(mat)`` and, from the same eigenpairs, its factor with
-    each row normalized to unit length."""
+def _psd_factor(mat: np.ndarray) -> np.ndarray:
+    """The factor of ``_psd_project(mat)`` from its eigenpairs, with each
+    row normalized to unit length."""
     w, u = np.linalg.eigh(mat)
     np.clip(w, 0.0, None, out=w)
     factor = (u * np.sqrt(w))[:, w > 0.0]
     factor /= np.linalg.norm(factor, axis=1)[:, None]
-    return (u * w) @ u.T, factor
+    return factor
 
 
 def _box_project(mat: np.ndarray) -> np.ndarray:
@@ -276,10 +272,10 @@ def _mixing(c: np.ndarray, opts: SolverOptions):
     return v, it, objective, primal, gap, converged, bound
 
 
-def _repair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pull an iterate back to the feasible set: rescale the diagonal to
-    exactly 1, clamp negatives, then one PSD projection. Returns it with its
-    factor; the residual-sized drift this leaves is covered by tol_feas."""
+def _repair(x: np.ndarray) -> np.ndarray:
+    """Rescale an iterate's diagonal to exactly 1, clamp negatives and return
+    the unit-row factor V of the PSD projection. V V^T keeps residual-sized
+    negative entries, within tol_feas once ADMM converged."""
     dg = np.sqrt(np.clip(np.diag(x), 1e-12, None))
     out = x / np.outer(dg, dg)
     np.clip(out, 0.0, None, out=out)
@@ -289,21 +285,22 @@ def _repair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve the full relaxation and report the repaired solution.
 
-    z_plus (in [0, 1]) and z_minus (in [-1, 0]) are the entry averages of
-    the solution weighted by the positive and negative coefficient mass.
+    z_plus (in [0, 1]) and z_minus (in [-1, 0] once converged; an early
+    stop can leave it slightly above 0) are the entry averages of the
+    solution weighted by the positive and negative coefficient mass.
     A solve that exhausts max_iters returns its best iterate flagged
     converged=False; the caller decides what to do with it.
     """
     opts = opts or SolverOptions()
     x, iters, r_inf, s_inf, converged, bound = _admm(qm.entries, opts)
-    x, factor = _repair(x)
+    factor = _repair(x)
 
+    weighted = qm.entries * (factor @ factor.T)
     pos = qm.entries >= 0
-    z_plus = float((qm.entries * x)[pos].sum()) / qm.q_mass
-    z_minus = float((qm.entries * x)[~pos].sum()) / qm.q_mass
-    objective = float((qm.entries * x).sum())
+    z_plus = float(weighted[pos].sum()) / qm.q_mass
+    z_minus = float(weighted[~pos].sum()) / qm.q_mass
+    objective = float(weighted.sum())
     return SdpSolution(
-        gram=x,
         factor=factor,
         objective=objective,
         upper_bound=bound,
@@ -333,14 +330,12 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
         )
     opts = opts or SolverOptions()
     v, sweeps, objective, primal, gap, converged, bound = _mixing(qm.entries, opts)
-    x = v @ v.T
 
     coupling, null, _ = summands(qm.graph)
-    shifted = x + 1.0
+    shifted = v @ v.T + 1.0
     z_plus = float((coupling * shifted).sum()) / 2.0
     z_minus = -float((null * shifted).sum()) / 2.0
     return SdpSolution(
-        gram=x,
         factor=v,
         objective=objective,
         upper_bound=bound,
@@ -357,5 +352,5 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
 def gram_vectors(sol: SdpSolution) -> VectorEmbedding:
     """The solution's unit-row factor as the embedding that the rounding
     cuts: row i is the vector of vertex i, and the pairwise dot products
-    match the solution entries as ``SdpSolution.factor`` states."""
+    are the solution's entries."""
     return VectorEmbedding(sol.factor)

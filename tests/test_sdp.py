@@ -18,6 +18,7 @@ from modkit import (
     solve_full_sdp,
 )
 from modkit.cli import main as cli_main
+from modkit.modularity import summands
 from modkit.sdp import _psd_factor
 
 import fixtures
@@ -29,7 +30,7 @@ CUT_CORPUS = [(name, g) for name, g in CORPUS if g.variant in ("undirected", "we
 
 
 def feasibility_residuals(sol, nonneg: bool):
-    x = sol.gram
+    x = sol.factor @ sol.factor.T
     diag_err = float(np.abs(np.diag(x) - 1.0).max())
     min_eig = float(np.linalg.eigvalsh(x).min())
     neg_entry = float(x.min()) if nonneg else 0.0
@@ -68,7 +69,7 @@ class TestFullSolve:
         sol = solve_full_sdp(qm)
         assert sol.converged
         assert sol.objective == pytest.approx(0.0, abs=1e-8)
-        assert sol.gram[0, 1] == pytest.approx(1.0, abs=1e-6)
+        assert (sol.factor @ sol.factor.T)[0, 1] == pytest.approx(1.0, abs=1e-6)
         # with the whole positive (negative) mass at entry value 1 the two
         # averages sit at their extremes
         assert sol.z_plus == pytest.approx(1.0, abs=1e-6)
@@ -115,7 +116,7 @@ class TestFullSolve:
         log_b = tmp_path / "b.csv"
         sol_a = solve_full_sdp(qm, SolverOptions(iterate_log=str(log_a)))
         sol_b = solve_full_sdp(qm, SolverOptions(iterate_log=str(log_b)))
-        assert np.array_equal(sol_a.gram, sol_b.gram)
+        assert np.array_equal(sol_a.factor, sol_b.factor)
         assert sol_a.iterations == sol_b.iterations
         assert sol_a.objective == sol_b.objective
         assert log_a.read_bytes() == log_b.read_bytes()
@@ -179,7 +180,7 @@ class TestCutSolve:
                 d[j] += w
             total = g.total_weight
             sol = solve_cut_sdp(build_q(g))
-            shifted = sol.gram + 1.0
+            shifted = sol.factor @ sol.factor.T + 1.0
             coupling = a / (2.0 * total)
             null = np.outer(d, d) / (4.0 * total * total)
             assert sol.z_plus == float((coupling * shifted).sum()) / 2.0, name
@@ -206,7 +207,6 @@ class TestMixingSolver:
         log_b = tmp_path / "b.csv"
         sol_a = solve_cut_sdp(qm, SolverOptions(iterate_log=str(log_a)))
         sol_b = solve_cut_sdp(qm, SolverOptions(iterate_log=str(log_b)))
-        assert np.array_equal(sol_a.gram, sol_b.gram)
         assert np.array_equal(sol_a.factor, sol_b.factor)
         assert sol_a.iterations == sol_b.iterations
         assert sol_a.upper_bound == sol_b.upper_bound
@@ -216,8 +216,7 @@ class TestMixingSolver:
         for name, g in CUT_CORPUS:
             sol = solve_cut_sdp(build_q(g))
             assert sol.factor.shape == (g.n, int(np.ceil(np.sqrt(2 * g.n))) + 1)
-            assert np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0).max() <= 1e-15
-            assert np.array_equal(sol.gram, sol.factor @ sol.factor.T), name
+            assert np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0).max() <= 1e-15, name
 
     def test_dual_gap_within_tolerance(self):
         tol = SolverOptions().tol_obj
@@ -247,7 +246,7 @@ class TestMixingSolver:
         sol = solve_cut_sdp(qm)
         first = solve_cut_sdp(qm, SolverOptions(max_iters=1))
         assert sol.converged
-        assert np.all(np.isfinite(sol.gram))
+        assert np.all(np.isfinite(sol.factor @ sol.factor.T))
         assert np.array_equal(sol.factor[4], first.factor[4])
         assert sol.upper_bound >= exact_cut(qm).opt_value
         best, _ = round_cut(qm, sol, trials=50, seed=0)
@@ -294,43 +293,68 @@ def exact_optima():
     return full, cut
 
 
+def rounded_figures(qm, sol):
+    """(objective, z_plus, z_minus) of V V^T for the factor V that the
+    rounding cuts, by the formulas of the solver of ``sol.kind``."""
+    x = sol.factor @ sol.factor.T
+    if sol.kind == "cut":
+        coupling, null, _ = summands(qm.graph)
+        shifted = x + 1.0
+        z_plus = float((coupling * shifted).sum()) / 2.0
+        z_minus = -float((null * shifted).sum()) / 2.0
+        return float((qm.entries * shifted).sum()) / 2.0, z_plus, z_minus
+    weighted = qm.entries * x
+    pos = qm.entries >= 0
+    return (
+        float(weighted.sum()),
+        float(weighted[pos].sum()) / qm.q_mass,
+        float(weighted[~pos].sum()) / qm.q_mass,
+    )
+
+
 class TestReportedBoundIsSound:
     @pytest.mark.parametrize("max_iters", [5, 20, 50, None])
     def test_upper_bound_dominates_exact_optimum(self, exact_optima, max_iters):
         # the reported bound must hold however early the solver stopped; the
         # rounding guarantee holds for the solution that was rounded, so the
-        # certificate may not exceed that solution's expectation floor
+        # certificate may not exceed that solution's expectation floor, and
+        # every figure behind it must be that of V V^T for the factor V cut
         opts = SolverOptions() if max_iters is None else SolverOptions(max_iters=max_iters)
         full, cut = exact_optima
-        below, above = [], []
+        below, above, off_factor = [], [], []
         for problem, solve, round_, optima in (
             ("full", solve_full_sdp, round_full, full),
             ("cut", solve_cut_sdp, round_cut, cut),
         ):
             for name, (qm, opt) in optima.items():
-                _, report = round_(qm, solve(qm, opts), trials=1, seed=0)
+                sol = solve(qm, opts)
+                _, report = round_(qm, sol, trials=1, seed=0)
                 if report.upper_bound < opt:
                     below.append((problem, name, report.upper_bound, opt))
                 if report.additive_certificate > report.expectation_floor + 1e-12:
                     above.append((problem, name, report.additive_certificate,
                                   report.expectation_floor))
+                reported = (report.relaxation_value, report.z_plus, report.z_minus)
+                recomputed = rounded_figures(qm, sol)
+                if np.abs(np.subtract(reported, recomputed)).max() > 1e-12:
+                    off_factor.append((problem, name, reported, recomputed))
         assert len(full) + len(cut) == 130
         assert not below
         assert not above
+        assert not off_factor
 
 
 class TestGramVectors:
     # _psd_factor is the one place a Gram factor is computed: the full
-    # solver's repair projection returns it with the projection itself
+    # solver's repair projection returns it as the solution's factor
 
     def test_identity_gives_orthonormal_vectors(self):
-        proj, factor = _psd_factor(np.eye(3))
-        assert np.array_equal(proj, np.eye(3))
+        factor = _psd_factor(np.eye(3))
         assert factor.shape == (3, 3)
         assert np.allclose(factor @ factor.T, np.eye(3), atol=1e-12)
 
     def test_all_ones_gives_identical_vectors(self):
-        _, factor = _psd_factor(np.ones((3, 3)))
+        factor = _psd_factor(np.ones((3, 3)))
         assert factor.shape == (3, 1)
         assert np.allclose(factor @ factor.T, 1.0, atol=1e-12)
 
@@ -339,8 +363,7 @@ class TestGramVectors:
         v = rng.standard_normal((5, 3))
         v /= np.linalg.norm(v, axis=1)[:, None]
         x = v @ v.T
-        proj, factor = _psd_factor(x)
-        assert np.abs(proj - x).max() <= 1e-7
+        factor = _psd_factor(x)
         assert np.abs(factor @ factor.T - x).max() <= 1e-7
 
     @pytest.mark.parametrize("name", [name for name, _ in fixtures.named_fixtures()])
@@ -348,9 +371,11 @@ class TestGramVectors:
         qm = build_q(dict(fixtures.named_fixtures())[name])
         sol = solve_full_sdp(qm)
         emb = gram_vectors(sol)
-        tol = 2.0 * SolverOptions().tol_feas
-        assert np.abs(emb.vectors @ emb.vectors.T - sol.gram).max() <= tol
+        x = emb.vectors @ emb.vectors.T
         assert np.allclose(np.linalg.norm(emb.vectors, axis=1), 1.0, atol=1e-9)
+        assert sol.objective == pytest.approx(float((qm.entries * x).sum()), abs=1e-12)
+        assert sol.converged
+        assert x.min() >= -2.0 * SolverOptions().tol_feas
 
     def test_rounding_factors_nothing(self, monkeypatch):
         # both rounding entry points cut the solver's own factor; neither
