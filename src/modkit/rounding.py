@@ -195,8 +195,9 @@ def round_full(
 
     The report carries the expectation floor q * (f_k(z+) + h_k(-z-)) and
     the additive certificate relaxation_value - q * g_k(z+), both at the
-    chosen hyperplane count and with z- clipped to [-1, 0] (an early stop
-    can leave it above 0), so the certificate stays at or below the floor.
+    chosen hyperplane count and with z- clipped to [-1, 0] (the negative
+    entries a converged solve keeps within its feasibility tolerance can
+    leave it above 0), so the certificate stays at or below the floor.
     """
     if sol.kind != "full":
         raise ValueError("round_full needs a full-relaxation solution")

@@ -8,8 +8,14 @@ Two problems, one solver each:
   splitting (ADMM): alternating projections onto the PSD cone (one
   symmetric eigendecomposition per iteration) and onto the nonnegative
   unit-diagonal matrices, with scaled dual updates and a penalty that
-  self-tunes by residual balancing. A last PSD projection repairs the
-  final iterate, and its eigenpairs, rows normalized, give the factor.
+  self-tunes by residual balancing. ADMM starts warm, primal and dual,
+  from the mixing method below run with the rows of V kept >= 0: X = V V^T
+  is then feasible, and often close to the optimum, though V >= 0 confines
+  it to the completely positive matrices. A last PSD projection repairs
+  the final iterate, and its eigenpairs, rows normalized, give the factor.
+  When ADMM stopped early and that factor's V V^T has a negative entry,
+  the nonnegative start is returned instead, so the solution stays in the
+  relaxation's domain.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
   modularity over bipartitions. It is solved by the mixing method (Wang,
@@ -51,22 +57,35 @@ __all__ = [
 ]
 
 
-# Seed of the mixing method's Gaussian start, so that a cut solve depends
-# only on its graph.
+# Seed of the mixing method's Gaussian start, so that a solve depends only
+# on its graph.
 _MIXING_SEED = 0
 
-# ADMM's initial penalty (splitting step size); residual balancing retunes it.
-_INITIAL_PENALTY = 1.0
+# ADMM's initial penalty (splitting step size); residual balancing retunes
+# it. From the warm start, 1 saves iterations on small graphs but needs
+# 1.6 times as many on the hardest benchmark graph (weighted, n = 69:
+# 15.1k against 9.1k), whose solve dominates the full path's time.
+_INITIAL_PENALTY = 0.125
+
+# The nonnegative mixing method that starts ADMM stops when a sweep changes
+# its objective by at most this much, relative. Its tail is slow, so a
+# per-sweep change of tol_obj = 1e-6 leaves the start further from its
+# optimum: on the test corpus, ADMM then needs 1.5 times the iterations.
+_START_TOL = 1e-9
 
 
 @dataclass
 class SolverOptions:
     """Solver knobs. ``tol_obj`` bounds the relative objective change (full)
-    or dual gap (bipartition) at convergence, and ``max_iters`` counts ADMM
-    iterations or mixing sweeps. ``tol_feas`` drives ADMM only and has no
-    effect on ``solve_cut_sdp``. Both tolerances must be finite and
-    positive. ``iterate_log`` optionally names a CSV file receiving one row
-    per iteration (iteration, objective, primal_residual, dual_residual)."""
+    or dual gap (bipartition) at convergence. ``max_iters`` caps the mixing
+    sweeps of either solver and, separately, the full solver's ADMM
+    iterations, so a full solve can run up to twice that many steps; its
+    ``iterations`` count ADMM iterations only. ``tol_feas`` drives ADMM
+    only and has no effect on ``solve_cut_sdp``. Both tolerances must be
+    finite and positive. ``iterate_log`` optionally names a CSV file
+    receiving one row per iteration (iteration, objective, primal_residual,
+    dual_residual): per ADMM iteration for the full solver, per sweep for
+    the bipartition solver."""
 
     tol_feas: float = 1e-7
     tol_obj: float = 1e-6
@@ -86,8 +105,9 @@ class SdpSolution:
     """Solution of one relaxation.
 
     The solution is V V^T for the unit-row ``factor`` V, the factor that
-    the rounding cuts; for kind="full" its entries are nonnegative within
-    the feasibility tolerance once the solve converged. ``objective`` and
+    the rounding cuts; for kind="full" its entries are nonnegative, within
+    the feasibility tolerance once the solve converged and exactly when it
+    did not. ``objective`` and
     ``z_plus``/``z_minus``, the positive- and negative-mass averages that
     the rounding guarantees consume, are evaluated on V V^T.
     ``upper_bound`` is the dual bound on the relaxation optimum, and so on
@@ -177,16 +197,18 @@ def _iterate_log(path: str | None):
         yield lambda it, obj, r, s: log.write(f"{it},{obj:.17g},{r:.17g},{s:.17g}\n")
 
 
-def _admm(c: np.ndarray, opts: SolverOptions):
-    """Maximize <c, X> over PSD X >= 0 with unit diagonal. Returns (X,
-    iterations, primal_res, dual_res, converged, upper_bound). Residual
+def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
+    """Maximize <c, X> over PSD X >= 0 with unit diagonal, starting from
+    the feasible point X = V V^T for a unit-row V >= 0. Returns (X,
+    iterations, primal_res, dual_res, converged, upper_bound). The start is
+    primal and dual: z = V V^T, and rho * u = Diag(y) with y_i =
+    (c V V^T)_ii, the multiplier of X_ii = 1 at a stationary V. Residual
     balancing keeps the two projection sequences in step: every 10
     iterations the penalty rho is doubled (halved) when the primal (dual)
     residual exceeds 10 times the other, and u is rescaled to match."""
-    n = c.shape[0]
     rho = _INITIAL_PENALTY
-    z = np.eye(n)
-    u = np.zeros((n, n))
+    z = _box_project(v @ v.T)
+    u = np.diag(np.einsum("ij,ij->i", c @ v, v) / rho)
     stop_tol = opts.tol_feas / 4.0
     obj_prev = None
     x = z
@@ -238,15 +260,37 @@ def _admm(c: np.ndarray, opts: SolverOptions):
     return x, it, r_inf, s_inf, converged, bound
 
 
+def _mixing_start(n: int) -> np.ndarray:
+    """The mixing method's seeded starting factor: n Gaussian unit rows of
+    rank ceil(sqrt(2n)) + 1."""
+    rank = math.ceil(math.sqrt(2 * n)) + 1
+    v = np.random.default_rng(_MIXING_SEED).standard_normal((n, rank))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v
+
+
+def _mixing_sweep(c: np.ndarray, v: np.ndarray, nonneg: bool) -> None:
+    """One sweep of the mixing method, in place: in index order, row i
+    becomes g / |g| for g = sum_{j != i} c_ij v_j, with g clipped to >= 0
+    when ``nonneg``; a row whose g is zero is left unchanged. Any other
+    update maximizes <c, V V^T> over row i alone among unit (nonnegative)
+    rows."""
+    for i in range(c.shape[0]):
+        g = c[i] @ v - c[i, i] * v[i]
+        if nonneg:
+            np.clip(g, 0.0, None, out=g)
+        norm = math.sqrt(g @ g)
+        if norm > 0.0:
+            v[i] = g / norm
+
+
 def _mixing(c: np.ndarray, opts: SolverOptions):
     """Maximize <c, (X+1)/2> over PSD X with unit diagonal as X = V V^T.
     Returns (V, sweeps, objective, primal_res, gap, converged, upper_bound);
     the gap is measured against the objective returned, evaluated on
     V V^T as ``solve_cut_sdp`` reports it."""
     n = c.shape[0]
-    rank = math.ceil(math.sqrt(2 * n)) + 1
-    v = np.random.default_rng(_MIXING_SEED).standard_normal((n, rank))
-    v /= np.linalg.norm(v, axis=1)[:, None]
+    v = _mixing_start(n)
     shift = float(c.sum())
     objective = primal = gap = bound = np.inf
     converged = False
@@ -254,11 +298,7 @@ def _mixing(c: np.ndarray, opts: SolverOptions):
     it = 0
     with _iterate_log(opts.iterate_log) as log:
         for it in range(1, opts.max_iters + 1):
-            for i in range(n):
-                g = c[i] @ v - c[i, i] * v[i]
-                norm = math.sqrt(g @ g)
-                if norm > 0.0:
-                    v[i] = g / norm
+            _mixing_sweep(c, v, nonneg=False)
             # y_i = (Q V V^T)_ii, the multiplier of the constraint X_ii = 1
             y = np.einsum("ij,ij->i", c @ v, v)
             objective = float((c * (v @ v.T + 1.0)).sum()) / 2.0
@@ -270,6 +310,37 @@ def _mixing(c: np.ndarray, opts: SolverOptions):
                 converged = True
                 break
     return v, it, objective, primal, gap, converged, bound
+
+
+def _nonneg_mixing(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """Maximize <c, V V^T> over unit-row V >= 0 by the mixing method, so
+    that V V^T is feasible for the full relaxation. V >= 0 confines X to
+    the completely positive matrices, so this is a starting point for
+    ADMM, not a solve: it stops when a sweep changes <c, V V^T> by at most
+    ``_START_TOL`` relative, or after ``max_iters`` sweeps.
+
+    A vertex whose row of c is zero (an isolated vertex) leaves the
+    objective unchanged wherever it goes, but its seeded row couples it to
+    the others, and ADMM is slow to settle those entries (13.8k against
+    0.7k iterations on a 7-vertex test graph). So it gets a coordinate of
+    its own, X_ij = 0 for j != i: ADMM's iterates then stay block diagonal
+    and never move that row."""
+    n = c.shape[0]
+    v = np.abs(_mixing_start(n))
+    obj_prev = None
+    for _ in range(opts.max_iters):
+        _mixing_sweep(c, v, nonneg=True)
+        obj = float(np.einsum("ij,ij->", c @ v, v))
+        if obj_prev is not None and abs(obj - obj_prev) <= _START_TOL * max(1.0, abs(obj)):
+            break
+        obj_prev = obj
+    isolated = np.flatnonzero(~c.any(axis=1))
+    if isolated.size:
+        v[isolated] = 0.0
+        own = np.zeros((n, isolated.size))
+        own[isolated, np.arange(isolated.size)] = 1.0
+        v = np.hstack([v, own])
+    return v
 
 
 def _repair(x: np.ndarray) -> np.ndarray:
@@ -285,17 +356,26 @@ def _repair(x: np.ndarray) -> np.ndarray:
 def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve the full relaxation and report the repaired solution.
 
-    z_plus (in [0, 1]) and z_minus (in [-1, 0] once converged; an early
-    stop can leave it slightly above 0) are the entry averages of the
-    solution weighted by the positive and negative coefficient mass.
-    A solve that exhausts max_iters returns its best iterate flagged
+    z_plus (in [0, 1]) and z_minus (in [-1, 0], or above 0 by no more than
+    the negative entries a converged repair keeps) are the entry averages
+    of the solution weighted by the positive and negative coefficient mass.
+    A solve that exhausts max_iters returns its repaired last iterate, or
+    the nonnegative start when that has a negative entry, flagged
     converged=False; the caller decides what to do with it.
     """
     opts = opts or SolverOptions()
-    x, iters, r_inf, s_inf, converged, bound = _admm(qm.entries, opts)
+    start = _nonneg_mixing(qm.entries, opts)
+    x, iters, r_inf, s_inf, converged, bound = _admm(qm.entries, opts, start)
     factor = _repair(x)
+    gram = factor @ factor.T
+    if not converged and gram.min() < 0.0:
+        # an early-stopped repair can leave negative entries, outside the
+        # domain [0, 1] on which the rounding floor holds; the start is
+        # feasible, so the floor holds for it exactly
+        factor = start
+        gram = factor @ factor.T
 
-    weighted = qm.entries * (factor @ factor.T)
+    weighted = qm.entries * gram
     pos = qm.entries >= 0
     z_plus = float(weighted[pos].sum()) / qm.q_mass
     z_minus = float(weighted[~pos].sum()) / qm.q_mass

@@ -151,17 +151,24 @@ def test_c03_oracle_sandwich(solved_full, solved_cut):
     fact2 = all(
         opt <= 1.0 - 1.0 / g.n + SANDWICH_TOL for _, g, _, _, opt in solved_full
     )
+    # the dual bound is a bound, so it needs no tolerance
+    bound_below = [
+        name for name, _, _, sol, opt in solved_full + solved_cut
+        if sol.upper_bound < opt
+    ]
     ok = (
         worst_gap_full >= -SANDWICH_TOL
         and worst_gap_cut >= -SANDWICH_TOL
         and fact2
+        and not bound_below
     )
     _report(
         "3",
         ok,
         f"{len(solved_full)} full + {len(solved_cut)} cut instances; "
         f"worst relaxation gap full={worst_gap_full:+.2e} "
-        f"cut={worst_gap_cut:+.2e}; opt <= 1-1/n: {fact2}",
+        f"cut={worst_gap_cut:+.2e}; opt <= 1-1/n: {fact2}; "
+        f"upper_bound < opt: {bound_below}",
     )
     assert ok
 

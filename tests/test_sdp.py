@@ -130,6 +130,26 @@ class TestFullSolve:
         assert lines[0] == "iteration,objective,primal_residual,dual_residual"
         assert len(lines) == sol.iterations + 1
 
+    def test_dual_gap_within_tolerance(self):
+        tol = SolverOptions().tol_obj
+        for name, g in fixtures.named_fixtures() + fixtures.random_corpus(count=10):
+            sol = solve_full_sdp(build_q(g))
+            assert sol.converged, name
+            assert sol.upper_bound - sol.objective <= tol * max(1.0, abs(sol.objective)), name
+
+    @pytest.mark.parametrize("max_iters", [1, 5, 20, 50])
+    def test_early_stop_solution_nonnegative(self, max_iters):
+        # the expectation floor holds for entries of V V^T in [0, 1]; an
+        # early stop must not hand the rounding a negative entry
+        opts = SolverOptions(max_iters=max_iters)
+        stopped = 0
+        for name, g in fixtures.named_fixtures() + fixtures.random_corpus():
+            sol = solve_full_sdp(build_q(g), opts)
+            if not sol.converged:
+                stopped += 1
+                assert (sol.factor @ sol.factor.T).min() >= 0.0, name
+        assert stopped > 0
+
     def test_non_convergence_flagged(self):
         qm = build_q(fixtures.two_triangle_bridge())
         sol = solve_full_sdp(qm, SolverOptions(max_iters=3))
