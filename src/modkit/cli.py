@@ -66,9 +66,10 @@ def dumps_report(report: dict) -> str:
 
 @contextlib.contextmanager
 def _open_output(path: str | None):
-    """Yield the report's write function: to stdout for no path or "-", else
-    to the file at ``path``, opened (and so checked) on entry but emptied
-    only by the write. If the block fails, a file it created is removed."""
+    """Yield the write function of a report or iterate log: to stdout for no
+    path or "-", else to the file at ``path``, opened (and so checked) on
+    entry but emptied only by the write. If the block fails, a file it
+    created is removed."""
     if path is None or path == "-":
         yield sys.stdout.write
         return
@@ -94,18 +95,6 @@ def _load_graph(args):
     return parse_edge_list(text, args.variant)
 
 
-# Solver knobs of each command in config-echo order; the mixing method
-# behind ``cut`` does not use tol_feas.
-_SOLVER_KNOBS = {
-    "solve": ("tol_feas", "tol_obj", "max_iters"),
-    "cut": ("tol_obj", "max_iters"),
-}
-
-
-def _solver_knobs(args) -> dict:
-    return {key: getattr(args, key) for key in _SOLVER_KNOBS[args.command]}
-
-
 def _resolve_seed(args) -> int:
     if args.entropy:
         return secrets.randbits(64)
@@ -121,21 +110,29 @@ def _config_echo(args, seed: int) -> dict:
         "variant": args.variant,
         "trials": args.trials,
         "seed": seed,
-        **_solver_knobs(args),
+        "tol_obj": args.tol_obj,
+        "max_iters": args.max_iters,
         "format": "json",
     }
+
+
+def _iterate_csv(history: np.ndarray) -> str:
+    rows = [f"{it},{obj:.17g},{r:.17g},{s:.17g}\n"
+            for it, (obj, r, s) in enumerate(history.tolist(), 1)]
+    return "iteration,objective,primal_residual,dual_residual\n" + "".join(rows)
 
 
 def _run_rounding_command(args) -> int:
     graph = _load_graph(args)
     qm = build_q(graph)
-    opts = SolverOptions(**_solver_knobs(args), iterate_log=args.iterate_log)
+    opts = SolverOptions(tol_obj=args.tol_obj, max_iters=args.max_iters)
     seed = _resolve_seed(args)
     # checked here as well as by the rounding, so that a bad trial count or
-    # output path fails before the solve instead of after it
+    # an output or log path fails before the solve instead of after it
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
-    with _open_output(args.output) as write:
+    log = _open_output(args.iterate_log) if args.iterate_log else contextlib.nullcontext()
+    with _open_output(args.output) as write, log as write_log:
         if args.command == "solve":
             sol = solve_full_sdp(qm, opts)
             best, report = round_full(qm, sol, trials=args.trials, seed=seed)
@@ -160,6 +157,8 @@ def _run_rounding_command(args) -> int:
                 "assign": list(best.partition.assign),
             },
         }
+        if write_log:
+            write_log(_iterate_csv(sol.history))
         write(dumps_report(payload))
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
@@ -214,7 +213,7 @@ def _figure_rows(figure: int, samples: int, k_max: int):
 
 def _run_bounds(args) -> int:
     if args.samples < 1:
-        raise GraphFormatError("samples must be at least 1")
+        raise ValueError("samples must be at least 1")
     meta, header, table = _figure_rows(args.figure, args.samples, args.k_max)
     lines = meta + [",".join(header)]
     for row in table:
@@ -253,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
                 "--iterate-log",
                 dest="iterate_log",
                 default=None,
-                help="CSV file receiving per-iteration solver diagnostics",
+                help="CSV file receiving per-iteration solver diagnostics, "
+                "written when the run ends ('-' for stdout)",
             )
 
     p_solve = sub.add_parser("solve", help="full relaxation + adaptive rounding")
     add_graph_args(p_solve, with_rounding=True)
-    p_solve.add_argument("--tol-feas", dest="tol_feas", type=float, default=1e-7)
 
     p_cut = sub.add_parser("cut", help="bipartition relaxation + one hyperplane")
     add_graph_args(p_cut, with_rounding=True)

@@ -32,15 +32,16 @@ any symmetric N >= 0 with zero diagonal, every feasible X has
 <Q, X> <= sum(y) + n * max(0, lambda_max(Q + N - Diag y)). The full solver
 takes y and N from its last dual iterate; the mixing method takes
 y = diag(Q V V^T), and stops when this bound is within ``tol_obj`` of the
-objective it reports. Iteration order and the mixing method's starting
-point are fixed, so a solve is bit-reproducible for identical inputs and
-options.
+objective it reports. Each also returns its iterate record, one row per
+iteration, as data; the module does no I/O. Iteration order and the mixing
+method's starting point are fixed, so a solve is bit-reproducible for
+identical inputs and options.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,26 +77,20 @@ _START_TOL = 1e-9
 
 @dataclass
 class SolverOptions:
-    """Solver knobs. ``tol_obj`` bounds the relative objective change (full)
-    or dual gap (bipartition) at convergence. ``max_iters`` caps the mixing
-    sweeps of either solver and, separately, the full solver's ADMM
-    iterations, so a full solve can run up to twice that many steps; its
-    ``iterations`` count ADMM iterations only. ``tol_feas`` drives ADMM
-    only and has no effect on ``solve_cut_sdp``. Both tolerances must be
-    finite and positive. ``iterate_log`` optionally names a CSV file
-    receiving one row per iteration (iteration, objective, primal_residual,
-    dual_residual): per ADMM iteration for the full solver, per sweep for
-    the bipartition solver."""
+    """Solver knobs, the same for both relaxations. ``tol_obj`` bounds the
+    dual gap (bipartition) or the relative objective change (full) at
+    convergence; ADMM also needs both residuals at most ``tol_obj / 40``.
+    It must be finite and positive. ``max_iters`` caps the mixing sweeps of
+    either solver and, separately, the full solver's ADMM iterations, so a
+    full solve can run up to twice that many steps; its ``iterations``
+    count ADMM iterations only."""
 
-    tol_feas: float = 1e-7
     tol_obj: float = 1e-6
     max_iters: int = 50000
-    iterate_log: str | None = None
 
     def __post_init__(self):
-        for tol in (self.tol_feas, self.tol_obj):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError("tolerances must be finite and positive")
+        if not (math.isfinite(self.tol_obj) and self.tol_obj > 0):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
 
@@ -106,12 +101,15 @@ class SdpSolution:
 
     The solution is V V^T for the unit-row ``factor`` V, the factor that
     the rounding cuts; for kind="full" its entries are nonnegative, within
-    the feasibility tolerance once the solve converged and exactly when it
-    did not. ``objective`` and
-    ``z_plus``/``z_minus``, the positive- and negative-mass averages that
-    the rounding guarantees consume, are evaluated on V V^T.
-    ``upper_bound`` is the dual bound on the relaxation optimum, and so on
-    the best partition's score; it holds whether or not the solve converged.
+    ``tol_obj / 40`` once the solve converged and exactly when it did not.
+    ``objective`` and ``z_plus``/``z_minus``, the positive- and
+    negative-mass averages that the rounding guarantees consume, are
+    evaluated on V V^T. ``upper_bound`` is the dual bound on the relaxation
+    optimum, and so on the best partition's score; it holds whether or not
+    the solve converged. ``history`` has one row (objective,
+    primal_residual, dual_residual) per iteration counted in
+    ``iterations``: per ADMM iteration for kind="full", per sweep for
+    kind="cut"; its last row gives the reported residuals.
     """
 
     factor: np.ndarray
@@ -124,9 +122,11 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     converged: bool
+    history: np.ndarray
 
     def __post_init__(self):
         self.factor.setflags(write=False)
+        self.history.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -185,22 +185,12 @@ def _dual_bound(c: np.ndarray, y: np.ndarray, N: np.ndarray | None = None) -> fl
     return float(y.sum()) + n * max(0.0, lam + margin)
 
 
-@contextlib.contextmanager
-def _iterate_log(path: str | None):
-    """Yield a function writing one CSV row per iteration to ``path``, or
-    one doing nothing when there is no path."""
-    if not path:
-        yield lambda *row: None
-        return
-    with open(path, "w") as log:
-        log.write("iteration,objective,primal_residual,dual_residual\n")
-        yield lambda it, obj, r, s: log.write(f"{it},{obj:.17g},{r:.17g},{s:.17g}\n")
-
-
 def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     """Maximize <c, X> over PSD X >= 0 with unit diagonal, starting from
     the feasible point X = V V^T for a unit-row V >= 0. Returns (X,
-    iterations, primal_res, dual_res, converged, upper_bound). The start is
+    iterations, primal_res, dual_res, converged, upper_bound, history). It
+    stops when both residuals are at most tol_obj / 40 and the objective
+    changed by at most tol_obj, relative. The start is
     primal and dual: z = V V^T, and rho * u = Diag(y) with y_i =
     (c V V^T)_ii, the multiplier of X_ii = 1 at a stationary V. Residual
     balancing keeps the two projection sequences in step: every 10
@@ -209,42 +199,42 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     rho = _INITIAL_PENALTY
     z = _box_project(v @ v.T)
     u = np.diag(np.einsum("ij,ij->i", c @ v, v) / rho)
-    stop_tol = opts.tol_feas / 4.0
+    stop_tol = opts.tol_obj / 40.0
     obj_prev = None
     x = z
     r_inf = s_inf = np.inf
     converged = False
+    history = array("d")
 
     it = 0
-    with _iterate_log(opts.iterate_log) as log:
-        for it in range(1, opts.max_iters + 1):
-            x = _psd_project(z - u + c / rho)
-            z_new = _box_project(x + u)
-            r_inf = float(np.abs(x - z_new).max())
-            s_inf = float(rho * np.abs(z_new - z).max())
-            z = z_new
-            u += x - z
+    for it in range(1, opts.max_iters + 1):
+        x = _psd_project(z - u + c / rho)
+        z_new = _box_project(x + u)
+        r_inf = float(np.abs(x - z_new).max())
+        s_inf = float(rho * np.abs(z_new - z).max())
+        z = z_new
+        u += x - z
 
-            obj = float((c * x).sum())
-            log(it, obj, r_inf, s_inf)
+        obj = float((c * x).sum())
+        history.extend((obj, r_inf, s_inf))
 
-            if (
-                r_inf <= stop_tol
-                and s_inf <= stop_tol
-                and obj_prev is not None
-                and abs(obj - obj_prev) <= opts.tol_obj * max(1.0, abs(obj))
-            ):
-                converged = True
-                break
-            obj_prev = obj
+        if (
+            r_inf <= stop_tol
+            and s_inf <= stop_tol
+            and obj_prev is not None
+            and abs(obj - obj_prev) <= opts.tol_obj * max(1.0, abs(obj))
+        ):
+            converged = True
+            break
+        obj_prev = obj
 
-            if it % 10 == 0:
-                if r_inf > 10.0 * s_inf:
-                    rho *= 2.0
-                    u /= 2.0
-                elif s_inf > 10.0 * r_inf:
-                    rho /= 2.0
-                    u *= 2.0
+        if it % 10 == 0:
+            if r_inf > 10.0 * s_inf:
+                rho *= 2.0
+                u /= 2.0
+            elif s_inf > 10.0 * r_inf:
+                rho /= 2.0
+                u *= 2.0
 
     # rho * u tends to the box constraint's multiplier Diag(y) - N; its
     # negation gives another (y, N). Both bounds are valid, so keep the
@@ -257,7 +247,7 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
         _dual_bound(c, s * np.diag(dual), np.clip(-s * off, 0.0, None))
         for s in (1.0, -1.0)
     )
-    return x, it, r_inf, s_inf, converged, bound
+    return x, it, r_inf, s_inf, converged, bound, np.frombuffer(history).reshape(-1, 3)
 
 
 def _mixing_start(n: int) -> np.ndarray:
@@ -286,30 +276,31 @@ def _mixing_sweep(c: np.ndarray, v: np.ndarray, nonneg: bool) -> None:
 
 def _mixing(c: np.ndarray, opts: SolverOptions):
     """Maximize <c, (X+1)/2> over PSD X with unit diagonal as X = V V^T.
-    Returns (V, sweeps, objective, primal_res, gap, converged, upper_bound);
-    the gap is measured against the objective returned, evaluated on
-    V V^T as ``solve_cut_sdp`` reports it."""
+    Returns (V, sweeps, objective, primal_res, gap, converged, upper_bound,
+    history); the gap is measured against the objective returned, evaluated
+    on V V^T as ``solve_cut_sdp`` reports it."""
     n = c.shape[0]
     v = _mixing_start(n)
     shift = float(c.sum())
     objective = primal = gap = bound = np.inf
     converged = False
+    history = array("d")
 
     it = 0
-    with _iterate_log(opts.iterate_log) as log:
-        for it in range(1, opts.max_iters + 1):
-            _mixing_sweep(c, v, nonneg=False)
-            # y_i = (Q V V^T)_ii, the multiplier of the constraint X_ii = 1
-            y = np.einsum("ij,ij->i", c @ v, v)
-            objective = float((c * (v @ v.T + 1.0)).sum()) / 2.0
-            bound = (_dual_bound(c, y) + shift) / 2.0
-            gap = bound - objective
-            primal = float(np.abs(np.einsum("ij,ij->i", v, v) - 1.0).max())
-            log(it, objective, primal, gap)
-            if gap <= opts.tol_obj * max(1.0, abs(objective)):
-                converged = True
-                break
-    return v, it, objective, primal, gap, converged, bound
+    for it in range(1, opts.max_iters + 1):
+        _mixing_sweep(c, v, nonneg=False)
+        # y_i = (Q V V^T)_ii, the multiplier of the constraint X_ii = 1
+        y = np.einsum("ij,ij->i", c @ v, v)
+        objective = float((c * (v @ v.T + 1.0)).sum()) / 2.0
+        bound = (_dual_bound(c, y) + shift) / 2.0
+        gap = bound - objective
+        primal = float(np.abs(np.einsum("ij,ij->i", v, v) - 1.0).max())
+        history.extend((objective, primal, gap))
+        if gap <= opts.tol_obj * max(1.0, abs(objective)):
+            converged = True
+            break
+    return (v, it, objective, primal, gap, converged, bound,
+            np.frombuffer(history).reshape(-1, 3))
 
 
 def _nonneg_mixing(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
@@ -346,7 +337,7 @@ def _nonneg_mixing(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
 def _repair(x: np.ndarray) -> np.ndarray:
     """Rescale an iterate's diagonal to exactly 1, clamp negatives and return
     the unit-row factor V of the PSD projection. V V^T keeps residual-sized
-    negative entries, within tol_feas once ADMM converged."""
+    negative entries, within tol_obj / 40 once ADMM converged."""
     dg = np.sqrt(np.clip(np.diag(x), 1e-12, None))
     out = x / np.outer(dg, dg)
     np.clip(out, 0.0, None, out=out)
@@ -365,7 +356,7 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     """
     opts = opts or SolverOptions()
     start = _nonneg_mixing(qm.entries, opts)
-    x, iters, r_inf, s_inf, converged, bound = _admm(qm.entries, opts, start)
+    x, iters, r_inf, s_inf, converged, bound, history = _admm(qm.entries, opts, start)
     factor = _repair(x)
     gram = factor @ factor.T
     if not converged and gram.min() < 0.0:
@@ -391,12 +382,13 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
         primal_residual=r_inf,
         dual_residual=s_inf,
         converged=converged,
+        history=history,
     )
 
 
 def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve the bipartition relaxation (no nonnegativity constraint) by the
-    mixing method; ``tol_feas`` plays no part.
+    mixing method.
 
     Only undirected and weighted inputs are meaningful here; other variants
     are rejected. z_plus is the coupling term of the objective and z_minus
@@ -409,7 +401,7 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
             f"graphs, not {qm.graph.variant!r}"
         )
     opts = opts or SolverOptions()
-    v, sweeps, objective, primal, gap, converged, bound = _mixing(qm.entries, opts)
+    v, sweeps, objective, primal, gap, converged, bound, history = _mixing(qm.entries, opts)
 
     coupling, null, _ = summands(qm.graph)
     shifted = v @ v.T + 1.0
@@ -426,6 +418,7 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
         primal_residual=primal,
         dual_residual=gap,
         converged=converged,
+        history=history,
     )
 
 

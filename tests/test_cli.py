@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+import modkit.cli
 from modkit.cli import main
 
 import fixtures
@@ -40,7 +41,7 @@ class TestSolve:
         assert report["upper_bound"] >= report["best_score"] - 1e-9
         assert report["trials"] == 200 and report["seed"] == 42
         assert payload["config"]["seed"] == 42
-        assert payload["config"]["tol_feas"] == 1e-7
+        assert "tol_feas" not in payload["config"]
         assert payload["solver"]["converged"] is True
         assert sorted(payload["partition"]["assign"]) == [0, 0, 0, 1, 1, 1]
         assert list(report) == [
@@ -65,10 +66,10 @@ class TestSolve:
         text = out.read_text()
         # full 17-significant-digit forms appear where needed, and every
         # float round-trips losslessly
-        assert "9.9999999999999995e-08" in text  # default tol_feas = 1e-7
+        assert "9.9999999999999995e-07" in text  # default tol_obj = 1e-6
         assert "0.58163265306122436" in text  # positive mass of the fixture
         payload = json.loads(text)
-        assert payload["config"]["tol_feas"] == 1e-7
+        assert payload["config"]["tol_obj"] == 1e-6
         assert payload["report"]["q_mass"] == 0.5816326530612244
 
     def test_non_convergence_exit_code(self, tri2_file, tmp_path):
@@ -118,7 +119,7 @@ class TestSolve:
         assert seed_a != seed_b  # 64-bit collision is not a realistic concern
 
     def test_unwritable_output(self, k2_file, tmp_path, capsys):
-        # the output is opened before the solve, which never writes its log
+        # the output is opened before the log, and both before the solve
         out = tmp_path / "missing" / "r.json"
         log = tmp_path / "log.csv"
         for command in ("solve", "cut"):
@@ -139,7 +140,13 @@ class TestSolve:
             assert not log.exists()
             assert not out.exists()
 
-    def test_unwritable_iterate_log(self, k2_file, tmp_path, capsys):
+    def test_unwritable_iterate_log(self, k2_file, tmp_path, capsys, monkeypatch):
+        # the log is opened before any solving
+        def never(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(modkit.cli, "solve_full_sdp", never)
+        monkeypatch.setattr(modkit.cli, "solve_cut_sdp", never)
         log = tmp_path / "missing" / "log.csv"
         for command in ("solve", "cut"):
             code = main([command, "--input", k2_file, "--trials", "5",
@@ -149,11 +156,12 @@ class TestSolve:
 
     def test_failed_run_writes_no_report(self, k2_file, tmp_path, capsys):
         # a run that fails after --output is opened creates no report file
-        # and leaves an existing one as it was
+        # and leaves an existing one as it was; nor does it leave a log
         out = tmp_path / "r.json"
+        log = tmp_path / "log.csv"
         missing_log = str(tmp_path / "missing" / "log.csv")
         failing = (
-            ["cut", "--input", k2_file, "--variant", "directed"],
+            ["cut", "--input", k2_file, "--variant", "directed", "--iterate-log", str(log)],
             ["solve", "--input", k2_file, "--iterate-log", missing_log],
         )
         for argv in failing:
@@ -167,6 +175,7 @@ class TestSolve:
                     assert not out.exists(), argv
                 else:
                     assert out.read_text() == old, argv
+                assert not log.exists(), argv
                 out.unlink(missing_ok=True)
 
     def test_huge_vertex_count_rejected(self, tmp_path, capsys):
@@ -200,16 +209,16 @@ class TestSolve:
             main(["solve", "--input", tri2_file, "--penalty", "2", "--output", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
-        assert main(["solve", "--input", tri2_file, "--tol-feas", "0.5", "--trials", "5",
+        assert main(["solve", "--input", tri2_file, "--tol-obj", "0.5", "--trials", "5",
                      "--output", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
         assert list(config) == ["command", "input", "variant", "trials", "seed",
-                                "tol_feas", "tol_obj", "max_iters", "format"]
-        assert config["tol_feas"] == 0.5
+                                "tol_obj", "max_iters", "format"]
+        assert config["tol_obj"] == 0.5
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
-        "command, flag", [("solve", "--tol-obj"), ("solve", "--tol-feas"), ("cut", "--tol-obj")]
+        "command, flag", [("solve", "--tol-obj"), ("cut", "--tol-obj")]
     )
     def test_non_finite_tolerance_rejected(self, tri2_file, tmp_path, capsys,
                                            command, flag, value):
@@ -230,6 +239,19 @@ class TestSolve:
         lines = log.read_text().splitlines()
         assert lines[0] == "iteration,objective,primal_residual,dual_residual"
         assert len(lines) > 1
+
+    def test_iterate_log_to_stdout(self, k2_file, tmp_path, capsys):
+        # "-" writes the log to stdout when the run ends, before the report
+        out = tmp_path / "r.json"
+        for command in ("solve", "cut"):
+            assert main([command, "--input", k2_file, "--iterate-log", "-",
+                         "--trials", "5", "--output", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            iterations = json.loads(out.read_text())["solver"]["iterations"]
+            assert lines[0] == "iteration,objective,primal_residual,dual_residual"
+            assert [ln.split(",")[0] for ln in lines[1:]] == [
+                str(it) for it in range(1, iterations + 1)
+            ]
 
 
 class TestCut:
@@ -254,20 +276,22 @@ class TestCut:
         assert main(["cut", "--input", str(path), "--variant", "directed"]) == 2
 
     def test_config_echoes_only_mixing_knobs(self, tri2_file, capsys):
-        assert main(["cut", "--input", tri2_file, "--trials", "5"]) == 0
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert list(config) == ["command", "input", "variant", "trials", "seed",
-                                "tol_obj", "max_iters", "format"]
+        # solve and cut echo the same knobs
+        for command in ("cut", "solve"):
+            assert main([command, "--input", tri2_file, "--trials", "5"]) == 0
+            config = json.loads(capsys.readouterr().out)["config"]
+            assert list(config) == ["command", "input", "variant", "trials", "seed",
+                                    "tol_obj", "max_iters", "format"]
 
     @pytest.mark.parametrize("flag", ["--penalty", "--tol-feas"])
     def test_admm_knobs_rejected(self, tri2_file, tmp_path, flag):
-        # the mixing method has no feasibility tolerance, and no command has
-        # a penalty knob
+        # neither command has a penalty or a feasibility-tolerance knob
         out = tmp_path / "r.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["cut", "--input", tri2_file, flag, "0.5", "--output", str(out)])
-        assert exc.value.code == 2
-        assert not out.exists()
+        for command in ("cut", "solve"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--input", tri2_file, flag, "0.5", "--output", str(out)])
+            assert exc.value.code == 2
+            assert not out.exists()
 
     def test_upper_bound_is_dual_bound(self, tri2_file, tmp_path):
         out = tmp_path / "cut.json"
@@ -336,6 +360,11 @@ class TestBounds:
                     if not ln.startswith("#")]
             assert data[0] == header
             assert len(data) == 21
+
+    def test_too_few_samples_rejected(self, capsys):
+        for samples in ("0", "-3"):
+            assert main(["bounds", "--figure", "1", "--samples", samples]) == 2
+            assert capsys.readouterr().err == "modkit: error: samples must be at least 1\n"
 
     def test_bad_figure_rejected(self):
         with pytest.raises(SystemExit) as exc:

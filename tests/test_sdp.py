@@ -40,27 +40,35 @@ def feasibility_residuals(sol, nonneg: bool):
 class TestSolverOptions:
     def test_defaults(self):
         opts = SolverOptions()
-        assert opts.tol_feas == 1e-7
         assert opts.tol_obj == 1e-6
         assert opts.max_iters == 50000
         assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "tol_feas", "tol_obj", "max_iters", "iterate_log"
+            "tol_obj", "max_iters"
         ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(tol_feas=0.0)
+            SolverOptions(tol_obj=0.0)
         with pytest.raises(ValueError):
             SolverOptions(max_iters=0)
-        # ADMM's penalty is a module constant, not a knob
-        with pytest.raises(TypeError):
-            SolverOptions(penalty=1.0)
+        # ADMM's penalty is a module constant and its residual threshold is
+        # derived from tol_obj; neither is a knob
+        for knob in ("penalty", "tol_feas"):
+            with pytest.raises(TypeError):
+                SolverOptions(**{knob: 1.0})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["tol_feas", "tol_obj"])
+    @pytest.mark.parametrize("field", ["tol_obj"])
     def test_non_finite_tolerance_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite and positive"):
             SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("solve", [solve_full_sdp, solve_cut_sdp], ids=["full", "cut"])
+    def test_history_grows_with_iterations(self, solve):
+        # the iterate record is not preallocated to max_iters rows
+        sol = solve(build_q(fixtures.k2()), SolverOptions(max_iters=10**12))
+        assert sol.converged
+        assert len(sol.history) == sol.iterations
 
 
 class TestFullSolve:
@@ -76,7 +84,7 @@ class TestFullSolve:
         assert sol.z_minus == pytest.approx(-1.0, abs=1e-6)
 
     def test_feasibility(self):
-        tol = SolverOptions().tol_feas
+        tol = SolverOptions().tol_obj / 10
         for name, g in fixtures.random_corpus(count=6):
             sol = solve_full_sdp(build_q(g))
             diag_err, min_eig, neg_entry = feasibility_residuals(sol, nonneg=True)
@@ -110,25 +118,20 @@ class TestFullSolve:
             assert sol.converged
             assert sol.objective >= -1e-9
 
-    def test_deterministic_bitwise(self, tmp_path):
+    def test_deterministic_bitwise(self):
         qm = build_q(fixtures.two_triangle_bridge())
-        log_a = tmp_path / "a.csv"
-        log_b = tmp_path / "b.csv"
-        sol_a = solve_full_sdp(qm, SolverOptions(iterate_log=str(log_a)))
-        sol_b = solve_full_sdp(qm, SolverOptions(iterate_log=str(log_b)))
+        sol_a = solve_full_sdp(qm)
+        sol_b = solve_full_sdp(qm)
         assert np.array_equal(sol_a.factor, sol_b.factor)
         assert sol_a.iterations == sol_b.iterations
         assert sol_a.objective == sol_b.objective
-        assert log_a.read_bytes() == log_b.read_bytes()
+        assert np.array_equal(sol_a.history, sol_b.history)
 
-    def test_iterate_log_shape(self, tmp_path):
-        log = tmp_path / "iters.csv"
-        sol = solve_full_sdp(
-            build_q(fixtures.cycle_graph(4)), SolverOptions(iterate_log=str(log))
-        )
-        lines = log.read_text().strip().splitlines()
-        assert lines[0] == "iteration,objective,primal_residual,dual_residual"
-        assert len(lines) == sol.iterations + 1
+    def test_iterate_log_shape(self):
+        sol = solve_full_sdp(build_q(fixtures.cycle_graph(4)))
+        assert sol.history.shape == (sol.iterations, 3)
+        assert not sol.history.flags.writeable
+        assert tuple(sol.history[-1, 1:]) == (sol.primal_residual, sol.dual_residual)
 
     def test_dual_gap_within_tolerance(self):
         tol = SolverOptions().tol_obj
@@ -221,16 +224,14 @@ class TestCutSolve:
 
 
 class TestMixingSolver:
-    def test_deterministic_bitwise(self, tmp_path):
+    def test_deterministic_bitwise(self):
         qm = build_q(fixtures.petersen())
-        log_a = tmp_path / "a.csv"
-        log_b = tmp_path / "b.csv"
-        sol_a = solve_cut_sdp(qm, SolverOptions(iterate_log=str(log_a)))
-        sol_b = solve_cut_sdp(qm, SolverOptions(iterate_log=str(log_b)))
+        sol_a = solve_cut_sdp(qm)
+        sol_b = solve_cut_sdp(qm)
         assert np.array_equal(sol_a.factor, sol_b.factor)
         assert sol_a.iterations == sol_b.iterations
         assert sol_a.upper_bound == sol_b.upper_bound
-        assert log_a.read_bytes() == log_b.read_bytes()
+        assert np.array_equal(sol_a.history, sol_b.history)
 
     def test_factor_has_unit_rows_and_rank(self):
         for name, g in CUT_CORPUS:
@@ -273,24 +274,29 @@ class TestMixingSolver:
         assert best.score == pytest.approx(exact_cut(qm).opt_value, abs=1e-12)
 
     def test_cut_iterate_log(self, tmp_path):
+        # the CLI writes the solver's record, one numbered row per counted
+        # iteration, ending at the residuals it reports; checked for the
+        # full solver too
         graph = tmp_path / "g.txt"
         graph.write_text(render_edge_list(fixtures.petersen()))
-        log = tmp_path / "iters.csv"
-        out = tmp_path / "r.json"
-        code = cli_main(["cut", "--input", str(graph), "--iterate-log", str(log),
-                         "--output", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        lines = log.read_text().strip().splitlines()
-        assert lines[0] == "iteration,objective,primal_residual,dual_residual"
-        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-        assert len(rows) == payload["solver"]["iterations"] > 1
-        assert np.array_equal(rows[:, 0], np.arange(1, len(rows) + 1))
-        # primal residual max_i |v_i . v_i - 1|, dual residual the gap
+        for command in ("solve", "cut"):
+            log = tmp_path / f"{command}.csv"
+            out = tmp_path / f"{command}.json"
+            code = cli_main([command, "--input", str(graph), "--iterate-log", str(log),
+                             "--output", str(out)])
+            assert code == 0
+            payload = json.loads(out.read_text())
+            lines = log.read_text().strip().splitlines()
+            assert lines[0] == "iteration,objective,primal_residual,dual_residual"
+            rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+            assert len(rows) == payload["solver"]["iterations"] > 1, command
+            assert np.array_equal(rows[:, 0], np.arange(1, len(rows) + 1))
+            last = rows[-1]
+            assert last[2] == payload["solver"]["primal_residual"], command
+            assert last[3] == payload["solver"]["dual_residual"], command
+        # for cut (the last command), primal residual max_i |v_i . v_i - 1|,
+        # dual residual the gap
         assert rows[:, 2].max() <= 1e-15
-        last = rows[-1]
-        assert last[2] == payload["solver"]["primal_residual"]
-        assert last[3] == payload["solver"]["dual_residual"]
         report = payload["report"]
         assert last[1] == pytest.approx(report["relaxation_value"], abs=1e-12)
         assert last[3] == pytest.approx(
@@ -395,7 +401,7 @@ class TestGramVectors:
         assert np.allclose(np.linalg.norm(emb.vectors, axis=1), 1.0, atol=1e-9)
         assert sol.objective == pytest.approx(float((qm.entries * x).sum()), abs=1e-12)
         assert sol.converged
-        assert x.min() >= -2.0 * SolverOptions().tol_feas
+        assert x.min() >= -2.0 * (SolverOptions().tol_obj / 10)
 
     def test_rounding_factors_nothing(self, monkeypatch):
         # both rounding entry points cut the solver's own factor; neither
