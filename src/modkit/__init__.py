@@ -27,8 +27,6 @@ from .rounding import (
 from .sdp import (
     SdpSolution,
     SolverOptions,
-    VectorEmbedding,
-    gram_vectors,
     solve_cut_sdp,
     solve_full_sdp,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "RoundingOutcome",
     "SdpSolution",
     "SolverOptions",
-    "VectorEmbedding",
     "build_q",
     "cut_envelopes",
     "cut_error_curve",
@@ -58,7 +55,6 @@ __all__ = [
     "f_k",
     "full_lower_bound_curve",
     "g_k",
-    "gram_vectors",
     "h_k",
     "hyperplane_round",
     "modularity",

@@ -131,6 +131,9 @@ def _run_rounding_command(args) -> int:
     # an output or log path fails before the solve instead of after it
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
+    files = [path for path in (args.output, args.iterate_log) if path not in (None, "-")]
+    if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
+        raise ValueError("--output and --iterate-log must name different files")
     log = _open_output(args.iterate_log) if args.iterate_log else contextlib.nullcontext()
     with _open_output(args.output) as write, log as write_log:
         if args.command == "solve":

@@ -33,7 +33,8 @@ any symmetric N >= 0 with zero diagonal, every feasible X has
 takes y and N from its last dual iterate; the mixing method takes
 y = diag(Q V V^T), and stops when this bound is within ``tol_obj`` of the
 objective it reports. Each also returns its iterate record, one row per
-iteration, as data; the module does no I/O. Iteration order and the mixing
+iteration, as data; the iteration count and the final residuals are read
+from it. The module does no I/O. Iteration order and the mixing
 method's starting point are fixed, so a solve is bit-reproducible for
 identical inputs and options.
 """
@@ -51,10 +52,8 @@ from .modularity import QMatrix, summands
 __all__ = [
     "SolverOptions",
     "SdpSolution",
-    "VectorEmbedding",
     "solve_full_sdp",
     "solve_cut_sdp",
-    "gram_vectors",
 ]
 
 
@@ -75,15 +74,15 @@ _INITIAL_PENALTY = 0.125
 _START_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Solver knobs, the same for both relaxations. ``tol_obj`` bounds the
     dual gap (bipartition) or the relative objective change (full) at
     convergence; ADMM also needs both residuals at most ``tol_obj / 40``.
-    It must be finite and positive. ``max_iters`` caps the mixing sweeps of
-    either solver and, separately, the full solver's ADMM iterations, so a
-    full solve can run up to twice that many steps; its ``iterations``
-    count ADMM iterations only."""
+    It must be finite and positive. ``max_iters``, a positive int, caps the
+    mixing sweeps of either solver and, separately, the full solver's ADMM
+    iterations, so a full solve can run up to twice that many steps; its
+    ``iterations`` count ADMM iterations only."""
 
     tol_obj: float = 1e-6
     max_iters: int = 50000
@@ -91,6 +90,8 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol_obj) and self.tol_obj > 0):
             raise ValueError("tolerances must be finite and positive")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
+            raise TypeError("max_iters must be an int")
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
 
@@ -99,17 +100,18 @@ class SolverOptions:
 class SdpSolution:
     """Solution of one relaxation.
 
-    The solution is V V^T for the unit-row ``factor`` V, the factor that
-    the rounding cuts; for kind="full" its entries are nonnegative, within
-    ``tol_obj / 40`` once the solve converged and exactly when it did not.
+    The solution is V V^T for the ``factor`` V, the factor that the
+    rounding cuts; its rows must be unit vectors. For kind="full" the
+    entries of V V^T are nonnegative, within ``tol_obj / 40`` once the solve
+    converged and exactly when it did not.
     ``objective`` and ``z_plus``/``z_minus``, the positive- and
     negative-mass averages that the rounding guarantees consume, are
     evaluated on V V^T. ``upper_bound`` is the dual bound on the relaxation
     optimum, and so on the best partition's score; it holds whether or not
     the solve converged. ``history`` has one row (objective,
-    primal_residual, dual_residual) per iteration counted in
-    ``iterations``: per ADMM iteration for kind="full", per sweep for
-    kind="cut"; its last row gives the reported residuals.
+    primal_residual, dual_residual) per iteration: per ADMM iteration for
+    kind="full", per sweep for kind="cut". ``iterations`` is its row count,
+    and ``primal_residual`` and ``dual_residual`` are its last row's.
     """
 
     factor: np.ndarray
@@ -118,45 +120,46 @@ class SdpSolution:
     z_plus: float
     z_minus: float
     kind: str
-    iterations: int
-    primal_residual: float
-    dual_residual: float
     converged: bool
     history: np.ndarray
 
     def __post_init__(self):
         self.factor.setflags(write=False)
         self.history.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class VectorEmbedding:
-    """Unit-vector Gram factor: row i is the vector of vertex i."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors.setflags(write=False)
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("embedding rows must be unit vectors")
+        # written so that a NaN norm fails it
+        if not np.all(np.abs(np.linalg.norm(self.factor, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("solution factor rows must be unit vectors")
 
     @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
+    def iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def primal_residual(self) -> float:
+        return float(self.history[-1, 1])
+
+    @property
+    def dual_residual(self) -> float:
+        return float(self.history[-1, 2])
+
+
+def _psd_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, u) of the PSD projection u Diag(w) u^T of ``mat``:
+    those of ``mat``, with negative eigenvalues clipped to 0."""
+    w, u = np.linalg.eigh(mat)
+    np.clip(w, 0.0, None, out=w)
+    return w, u
 
 
 def _psd_project(mat: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(mat)
-    np.clip(w, 0.0, None, out=w)
+    w, u = _psd_eig(mat)
     return (u * w) @ u.T
 
 
 def _psd_factor(mat: np.ndarray) -> np.ndarray:
     """The factor of ``_psd_project(mat)`` from its eigenpairs, with each
     row normalized to unit length."""
-    w, u = np.linalg.eigh(mat)
-    np.clip(w, 0.0, None, out=w)
+    w, u = _psd_eig(mat)
     factor = (u * np.sqrt(w))[:, w > 0.0]
     factor /= np.linalg.norm(factor, axis=1)[:, None]
     return factor
@@ -188,25 +191,24 @@ def _dual_bound(c: np.ndarray, y: np.ndarray, N: np.ndarray | None = None) -> fl
 def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     """Maximize <c, X> over PSD X >= 0 with unit diagonal, starting from
     the feasible point X = V V^T for a unit-row V >= 0. Returns (X,
-    iterations, primal_res, dual_res, converged, upper_bound, history). It
-    stops when both residuals are at most tol_obj / 40 and the objective
-    changed by at most tol_obj, relative. The start is
-    primal and dual: z = V V^T, and rho * u = Diag(y) with y_i =
-    (c V V^T)_ii, the multiplier of X_ii = 1 at a stationary V. Residual
-    balancing keeps the two projection sequences in step: every 10
-    iterations the penalty rho is doubled (halved) when the primal (dual)
-    residual exceeds 10 times the other, and u is rescaled to match."""
+    converged, upper_bound, history), the last with one row (objective,
+    primal_res, dual_res) per iteration. It stops when both residuals are
+    at most tol_obj / 40 and the objective changed by at most tol_obj,
+    relative. The start is primal and dual: z = V V^T, and rho * u =
+    Diag(y) with y_i = (c V V^T)_ii, the multiplier of X_ii = 1 at a
+    stationary V. Residual balancing keeps the two projection sequences in
+    step: every 10 iterations the penalty rho is doubled (halved) when the
+    primal (dual) residual exceeds 10 times the other, and u is rescaled to
+    match."""
     rho = _INITIAL_PENALTY
     z = _box_project(v @ v.T)
     u = np.diag(np.einsum("ij,ij->i", c @ v, v) / rho)
     stop_tol = opts.tol_obj / 40.0
     obj_prev = None
     x = z
-    r_inf = s_inf = np.inf
     converged = False
     history = array("d")
 
-    it = 0
     for it in range(1, opts.max_iters + 1):
         x = _psd_project(z - u + c / rho)
         z_new = _box_project(x + u)
@@ -247,7 +249,7 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
         _dual_bound(c, s * np.diag(dual), np.clip(-s * off, 0.0, None))
         for s in (1.0, -1.0)
     )
-    return x, it, r_inf, s_inf, converged, bound, np.frombuffer(history).reshape(-1, 3)
+    return x, converged, bound, np.frombuffer(history).reshape(-1, 3)
 
 
 def _mixing_start(n: int) -> np.ndarray:
@@ -276,18 +278,17 @@ def _mixing_sweep(c: np.ndarray, v: np.ndarray, nonneg: bool) -> None:
 
 def _mixing(c: np.ndarray, opts: SolverOptions):
     """Maximize <c, (X+1)/2> over PSD X with unit diagonal as X = V V^T.
-    Returns (V, sweeps, objective, primal_res, gap, converged, upper_bound,
-    history); the gap is measured against the objective returned, evaluated
-    on V V^T as ``solve_cut_sdp`` reports it."""
+    Returns (V, converged, upper_bound, history), the last with one row
+    (objective, primal_res, gap) per sweep; the gap is measured against that
+    objective, evaluated on V V^T as ``solve_cut_sdp`` reports it."""
     n = c.shape[0]
     v = _mixing_start(n)
     shift = float(c.sum())
-    objective = primal = gap = bound = np.inf
+    bound = np.inf
     converged = False
     history = array("d")
 
-    it = 0
-    for it in range(1, opts.max_iters + 1):
+    for _ in range(opts.max_iters):
         _mixing_sweep(c, v, nonneg=False)
         # y_i = (Q V V^T)_ii, the multiplier of the constraint X_ii = 1
         y = np.einsum("ij,ij->i", c @ v, v)
@@ -299,8 +300,7 @@ def _mixing(c: np.ndarray, opts: SolverOptions):
         if gap <= opts.tol_obj * max(1.0, abs(objective)):
             converged = True
             break
-    return (v, it, objective, primal, gap, converged, bound,
-            np.frombuffer(history).reshape(-1, 3))
+    return v, converged, bound, np.frombuffer(history).reshape(-1, 3)
 
 
 def _nonneg_mixing(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
@@ -356,7 +356,7 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     """
     opts = opts or SolverOptions()
     start = _nonneg_mixing(qm.entries, opts)
-    x, iters, r_inf, s_inf, converged, bound, history = _admm(qm.entries, opts, start)
+    x, converged, bound, history = _admm(qm.entries, opts, start)
     factor = _repair(x)
     gram = factor @ factor.T
     if not converged and gram.min() < 0.0:
@@ -378,9 +378,6 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
         z_plus=z_plus,
         z_minus=z_minus,
         kind="full",
-        iterations=iters,
-        primal_residual=r_inf,
-        dual_residual=s_inf,
         converged=converged,
         history=history,
     )
@@ -401,7 +398,7 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
             f"graphs, not {qm.graph.variant!r}"
         )
     opts = opts or SolverOptions()
-    v, sweeps, objective, primal, gap, converged, bound, history = _mixing(qm.entries, opts)
+    v, converged, bound, history = _mixing(qm.entries, opts)
 
     coupling, null, _ = summands(qm.graph)
     shifted = v @ v.T + 1.0
@@ -409,21 +406,12 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
     z_minus = -float((null * shifted).sum()) / 2.0
     return SdpSolution(
         factor=v,
-        objective=objective,
+        objective=float(history[-1, 0]),
         upper_bound=bound,
         z_plus=z_plus,
         z_minus=z_minus,
         kind="cut",
-        iterations=sweeps,
-        primal_residual=primal,
-        dual_residual=gap,
         converged=converged,
         history=history,
     )
 
-
-def gram_vectors(sol: SdpSolution) -> VectorEmbedding:
-    """The solution's unit-row factor as the embedding that the rounding
-    cuts: row i is the vector of vertex i, and the pairwise dot products
-    are the solution's entries."""
-    return VectorEmbedding(sol.factor)

@@ -27,7 +27,6 @@ from modkit import (
     build_q,
     exact_cut,
     exact_full,
-    gram_vectors,
     round_cut,
     round_full,
     select_k_star,
@@ -197,10 +196,9 @@ def test_c04_full_expectation_floors(solved_full):
     failures = []
     for name in FLOOR_FIXTURES_FULL:
         g, qm, sol, _ = by_name[name]
-        emb = gram_vectors(sol)
         k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.graph.n)
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, emb, k_star, 10_000, seed=2024)]
+            [s for _, _, s in _trial_blocks(qm, sol.factor, k_star, 10_000, seed=2024)]
         )
         _, rep = round_full(qm, sol, trials=1, seed=2024)
         slack = 3.0 * scores.std(ddof=1) / 100.0
@@ -240,9 +238,8 @@ def test_c05_cut_expectation_floors(solved_cut):
     failures = []
     for name in FLOOR_FIXTURES_CUT:
         g, qm, sol, _ = by_name[name]
-        emb = gram_vectors(sol)
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, emb, 1, 10_000, seed=909)]
+            [s for _, _, s in _trial_blocks(qm, sol.factor, 1, 10_000, seed=909)]
         )
         _, rep = round_cut(qm, sol, trials=1, seed=909)
         slack = 3.0 * scores.std(ddof=1) / 100.0

@@ -253,6 +253,49 @@ class TestSolve:
                 str(it) for it in range(1, iterations + 1)
             ]
 
+    def test_same_file_for_output_and_iterate_log_rejected(
+            self, k2_file, tmp_path, capsys, monkeypatch):
+        # one file cannot hold both the report and the log: the pair is
+        # rejected before the solve, whether the two paths are spelled alike
+        # or only resolve alike, and the file is neither created nor changed
+        def never(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(modkit.cli, "solve_full_sdp", never)
+        monkeypatch.setattr(modkit.cli, "solve_cut_sdp", never)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "r.json"
+        (tmp_path / "link.json").symlink_to(out)
+        pairs = ((str(out), str(out)), ("r.json", str(out)),
+                 (str(out), "sub/../r.json"), ("link.json", "r.json"))
+        (tmp_path / "sub").mkdir()
+        for command in ("solve", "cut"):
+            for output, log in pairs:
+                for old in (None, "an earlier report\n"):
+                    if old is not None:
+                        out.write_text(old)
+                    code = main([command, "--input", k2_file, "--trials", "5",
+                                 "--output", output, "--iterate-log", log])
+                    assert code == 2
+                    assert ("--output and --iterate-log must name different files"
+                            in capsys.readouterr().err)
+                    if old is None:
+                        assert not out.exists(), (output, log)
+                    else:
+                        assert out.read_text() == old, (output, log)
+                    out.unlink(missing_ok=True)
+
+    def test_report_and_iterate_log_both_to_stdout(self, k2_file, capsys):
+        # stdout is no file: "-" for both writes the log, then the report
+        for command in ("solve", "cut"):
+            assert main([command, "--input", k2_file, "--trials", "5",
+                         "--output", "-", "--iterate-log", "-"]) == 0
+            text = capsys.readouterr().out
+            log, report = text.split("{", 1)
+            assert log.startswith("iteration,objective,primal_residual,dual_residual\n")
+            assert json.loads("{" + report)["solver"]["iterations"] == len(
+                log.splitlines()) - 1
+
 
 class TestCut:
     def test_cut_report(self, tri2_file, tmp_path):

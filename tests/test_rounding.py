@@ -5,12 +5,10 @@ import pytest
 
 from modkit import (
     Partition,
-    VectorEmbedding,
     bounds,
     build_q,
     exact_cut,
     exact_full,
-    gram_vectors,
     hyperplane_round,
     round_cut,
     round_full,
@@ -50,9 +48,9 @@ class TestSelectKStar:
 class TestHyperplaneRound:
     def test_identical_vectors_stay_together(self):
         qm = build_q(fixtures.cycle_graph(4))
-        emb = VectorEmbedding(vectors=np.ones((4, 1)))
+        vectors = np.ones((4, 1))
         for k in (1, 2, 5):
-            out = hyperplane_round(qm, emb, k, seed=3, trial=k)
+            out = hyperplane_round(qm, vectors, k, seed=3, trial=k)
             assert out.partition.k == 1
             assert out.score == pytest.approx(0.0, abs=1e-12)
             assert out.k_used == k
@@ -60,38 +58,37 @@ class TestHyperplaneRound:
     def test_cluster_count_bound(self):
         qm = build_q(fixtures.petersen())
         sol = solve_full_sdp(qm)
-        emb = gram_vectors(sol)
+        vectors = sol.factor
         for k in (1, 2, 3, 4):
             for t in range(20):
-                out = hyperplane_round(qm, emb, k, seed=17, trial=t)
+                out = hyperplane_round(qm, vectors, k, seed=17, trial=t)
                 assert out.partition.k <= min(2**k, qm.graph.n)
 
     def test_same_seed_same_outcome(self):
         qm = build_q(fixtures.two_triangle_bridge())
-        emb = gram_vectors(solve_full_sdp(qm))
-        a = hyperplane_round(qm, emb, 3, seed=5, trial=9)
-        b = hyperplane_round(qm, emb, 3, seed=5, trial=9)
+        vectors = solve_full_sdp(qm).factor
+        a = hyperplane_round(qm, vectors, 3, seed=5, trial=9)
+        b = hyperplane_round(qm, vectors, 3, seed=5, trial=9)
         assert a.partition == b.partition
         assert a.score == b.score
-        c = hyperplane_round(qm, emb, 3, seed=5, trial=10)
+        c = hyperplane_round(qm, vectors, 3, seed=5, trial=10)
         assert a.trial_seed != c.trial_seed
 
     def test_rejects_bad_k(self):
         qm = build_q(fixtures.k2())
-        emb = VectorEmbedding(vectors=np.ones((2, 1)))
+        vectors = np.ones((2, 1))
         with pytest.raises(ValueError):
-            hyperplane_round(qm, emb, 0, seed=0)
+            hyperplane_round(qm, vectors, 0, seed=0)
 
     def test_separation_law_pi_third_two_planes(self):
         # pair at angle pi/3 with two hyperplanes stays together with
         # probability (2/3)^2 = 4/9
         qm = build_q(fixtures.k2())
         vecs = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-        emb = VectorEmbedding(vectors=vecs)
         trials = 100_000
         together = sum(
             int((codes[:, 0] == codes[:, 1]).sum())
-            for _, codes, _ in _trial_blocks(qm, emb, 2, trials, seed=123)
+            for _, codes, _ in _trial_blocks(qm, vecs, 2, trials, seed=123)
         )
         assert together / trials == pytest.approx(4.0 / 9.0, abs=0.01)
 
@@ -140,10 +137,10 @@ class TestRoundFull:
         # sample mean over many trials sits above the guaranteed floor
         qm = build_q(fixtures.two_triangle_bridge())
         sol = solve_full_sdp(qm)
-        emb = gram_vectors(sol)
+        vectors = sol.factor
         k_star = select_k_star(float(np.clip(sol.z_plus, 0, 1)), qm.graph.n)
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, emb, k_star, 10_000, seed=2024)]
+            [s for _, _, s in _trial_blocks(qm, vectors, k_star, 10_000, seed=2024)]
         )
         _, report = round_full(qm, sol, trials=1, seed=2024)
         slack = 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
@@ -168,8 +165,8 @@ class TestRoundCut:
 
     def test_identical_embedding_single_cluster(self):
         qm = build_q(fixtures.cycle_graph(4))
-        emb = VectorEmbedding(vectors=np.ones((4, 1)))
-        out = hyperplane_round(qm, emb, 1, seed=0)
+        vectors = np.ones((4, 1))
+        out = hyperplane_round(qm, vectors, 1, seed=0)
         assert out.partition.k == 1
         assert out.score == pytest.approx(0.0, abs=1e-12)
 
@@ -190,9 +187,9 @@ class TestRoundCut:
     def test_expectation_floor_holds(self):
         qm = build_q(fixtures.path_graph(4))
         sol = solve_cut_sdp(qm)
-        emb = gram_vectors(sol)
+        vectors = sol.factor
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, emb, 1, 10_000, seed=77)]
+            [s for _, _, s in _trial_blocks(qm, vectors, 1, 10_000, seed=77)]
         )
         _, report = round_cut(qm, sol, trials=1, seed=77)
         slack = 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
@@ -212,14 +209,14 @@ BLOCK_COUNTS = (1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1)
 SEEDS = (0, 5, 2**64 - 1)
 
 
-def _loop_bests(qm, emb, k, seed, counts):
+def _loop_bests(qm, vectors, k, seed, counts):
     """Per-trial reference: the best of the first c hyperplane_round trials
     for each c in ``counts``, a later trial winning only on a strictly
     greater score."""
     bests = {}
     best = None
     for t in range(max(counts)):
-        out = hyperplane_round(qm, emb, k, seed, trial=t)
+        out = hyperplane_round(qm, vectors, k, seed, trial=t)
         if best is None or out.score > best.score:
             best = out
         if t + 1 in counts:
@@ -246,10 +243,10 @@ SOLVERS = {"full": solve_full_sdp, "cut": solve_cut_sdp}
 
 
 def _relaxed(name, kind):
-    # the embedding both rounding entry points cut: the solver's own factor
+    # the vectors both rounding entry points cut: the solver's own factor
     qm = build_q(FIXTURES[name]())
     sol = SOLVERS[kind](qm)
-    return qm, sol, gram_vectors(sol)
+    return qm, sol, sol.factor
 
 
 class TestBatchedMatchesPerTrial:
@@ -257,37 +254,37 @@ class TestBatchedMatchesPerTrial:
         "name, kind", [(name, "full") for name in FIXTURES] + [("c4", "cut")]
     )
     def test_block_boundaries_every_k(self, name, kind):
-        qm, _, emb = _relaxed(name, kind)
+        qm, _, vectors = _relaxed(name, kind)
         for k in (1, 2, 3, 4):
             for seed in SEEDS:
-                want = _loop_bests(qm, emb, k, seed, BLOCK_COUNTS)
+                want = _loop_bests(qm, vectors, k, seed, BLOCK_COUNTS)
                 for trials in BLOCK_COUNTS:
-                    got = _best_of_trials(qm, emb, k, trials, seed)
+                    got = _best_of_trials(qm, vectors, k, trials, seed)
                     _same_outcome(got, want[trials])
 
     def test_trial_blocks_round_every_trial(self):
-        qm, _, emb = _relaxed("petersen", "full")
+        qm, _, vectors = _relaxed("petersen", "full")
         trials = _TRIAL_BLOCK + 44
         # the two score sums differ only in summation order
         tol = 4.0 * qm.graph.n * qm.graph.n * np.finfo(float).eps
         for k in (1, 2, 3, 4):
-            blocks = list(_trial_blocks(qm, emb, k, trials, seed=5))
+            blocks = list(_trial_blocks(qm, vectors, k, trials, seed=5))
             assert [start for start, _, _ in blocks] == [0, _TRIAL_BLOCK]
             codes = np.concatenate([c for _, c, _ in blocks])
             scores = np.concatenate([s for _, _, s in blocks])
             assert codes.shape == (trials, qm.graph.n)
             for t in range(trials):
-                want = hyperplane_round(qm, emb, k, seed=5, trial=t)
+                want = hyperplane_round(qm, vectors, k, seed=5, trial=t)
                 assert Partition.from_labels(codes[t]) == want.partition
                 assert abs(scores[t] - want.score) <= tol
 
     def test_winners_past_the_first_block(self):
-        qm, _, emb = _relaxed("petersen", "full")
+        qm, _, vectors = _relaxed("petersen", "full")
         late = 0
         for k in (1, 2, 3, 4):
             for seed in SEEDS:
-                want = _loop_bests(qm, emb, k, seed, (2000,))[2000]
-                _same_outcome(_best_of_trials(qm, emb, k, 2000, seed), want)
+                want = _loop_bests(qm, vectors, k, seed, (2000,))[2000]
+                _same_outcome(_best_of_trials(qm, vectors, k, 2000, seed), want)
                 late += want.trial_seed[1] >= _TRIAL_BLOCK
         # later blocks must draw their own trials' streams, so some winner
         # has to come from one of them for this test to check that
@@ -296,21 +293,21 @@ class TestBatchedMatchesPerTrial:
     def test_identical_vectors_keep_the_first_trial(self):
         # every trial yields the single cluster, so every later trial ties
         qm = build_q(fixtures.cycle_graph(4))
-        emb = VectorEmbedding(vectors=np.ones((4, 1)))
+        vectors = np.ones((4, 1))
         for k in (1, 2, 3, 4):
             for seed in SEEDS:
                 for trials in BLOCK_COUNTS + (2000,):
-                    best = _best_of_trials(qm, emb, k, trials, seed)
+                    best = _best_of_trials(qm, vectors, k, trials, seed)
                     assert best.trial_seed == (seed, 0)
                     assert best.partition.k == 1
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_round_full(self, name):
-        qm, sol, emb = _relaxed(name, "full")
+        qm, sol, vectors = _relaxed(name, "full")
         k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.graph.n)
         counts = BLOCK_COUNTS + (2000,)
         for seed in SEEDS:
-            want = _loop_bests(qm, emb, k_star, seed, counts)
+            want = _loop_bests(qm, vectors, k_star, seed, counts)
             for trials in counts:
                 best, report = round_full(qm, sol, trials=trials, seed=seed)
                 _same_outcome(best, want[trials])
@@ -318,10 +315,10 @@ class TestBatchedMatchesPerTrial:
 
     @pytest.mark.parametrize("name", ["tri2", "petersen", "w_path", "c4"])
     def test_round_cut(self, name):
-        qm, sol, emb = _relaxed(name, "cut")
+        qm, sol, vectors = _relaxed(name, "cut")
         counts = BLOCK_COUNTS + (2000,)
         for seed in SEEDS:
-            want = _loop_bests(qm, emb, 1, seed, counts)
+            want = _loop_bests(qm, vectors, 1, seed, counts)
             for trials in counts:
                 best, report = round_cut(qm, sol, trials=trials, seed=seed)
                 _same_outcome(best, want[trials])

@@ -10,13 +10,13 @@ from modkit import (
     build_q,
     exact_cut,
     exact_full,
-    gram_vectors,
     render_edge_list,
     round_cut,
     round_full,
     solve_cut_sdp,
     solve_full_sdp,
 )
+from modkit import rounding
 from modkit.cli import main as cli_main
 from modkit.modularity import summands
 from modkit.sdp import _psd_factor
@@ -57,6 +57,19 @@ class TestSolverOptions:
             with pytest.raises(TypeError):
                 SolverOptions(**{knob: 1.0})
 
+    def test_frozen(self):
+        # a field set after validation would skip it: a NaN tol_obj made the
+        # solve run max_iters unconverged iterations
+        opts = SolverOptions(max_iters=50)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.tol_obj = float("nan")
+        assert opts.tol_obj == 1e-6
+
+    @pytest.mark.parametrize("value", [2.5, 50.0, "50", True])
+    def test_max_iters_must_be_int(self, value):
+        with pytest.raises(TypeError, match="max_iters must be an int"):
+            SolverOptions(max_iters=value)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["tol_obj"])
     def test_non_finite_tolerance_rejected(self, field, value):
@@ -69,6 +82,28 @@ class TestSolverOptions:
         sol = solve(build_q(fixtures.k2()), SolverOptions(max_iters=10**12))
         assert sol.converged
         assert len(sol.history) == sol.iterations
+
+
+class TestSdpSolution:
+    @pytest.mark.parametrize("solve", [solve_full_sdp, solve_cut_sdp], ids=["full", "cut"])
+    def test_iterate_facts_read_from_history(self, solve):
+        sol = solve(build_q(fixtures.petersen()), SolverOptions(max_iters=7))
+        assert sol.iterations == len(sol.history) == 7
+        assert (sol.primal_residual, sol.dual_residual) == tuple(sol.history[-1, 1:])
+        shorter = dataclasses.replace(sol, history=np.array(sol.history[:3]))
+        assert shorter.iterations == 3
+        assert shorter.dual_residual == sol.history[2, 2]
+
+    @pytest.mark.parametrize("row", [[0.6, 0.0], [0.8, 0.8], [0.0, 0.0],
+                                     [float("nan"), 0.0], [float("inf"), 0.0]])
+    def test_factor_rows_must_be_unit(self, row):
+        # the rounding guarantees hold for unit vectors; a NaN norm fails too
+        sol = solve_cut_sdp(build_q(fixtures.k2()))
+        dataclasses.replace(sol, factor=np.eye(2))
+        factor = np.eye(2)
+        factor[1] = row
+        with pytest.raises(ValueError, match="rows must be unit vectors"):
+            dataclasses.replace(sol, factor=factor)
 
 
 class TestFullSolve:
@@ -396,9 +431,8 @@ class TestGramVectors:
     def test_solver_output_reconstruction(self, name):
         qm = build_q(dict(fixtures.named_fixtures())[name])
         sol = solve_full_sdp(qm)
-        emb = gram_vectors(sol)
-        x = emb.vectors @ emb.vectors.T
-        assert np.allclose(np.linalg.norm(emb.vectors, axis=1), 1.0, atol=1e-9)
+        x = sol.factor @ sol.factor.T
+        assert np.allclose(np.linalg.norm(sol.factor, axis=1), 1.0, atol=1e-9)
         assert sol.objective == pytest.approx(float((qm.entries * x).sum()), abs=1e-12)
         assert sol.converged
         assert x.min() >= -2.0 * (SolverOptions().tol_obj / 10)
@@ -424,5 +458,5 @@ class TestGramVectors:
         round_full(qm, sols["full"], trials=20, seed=0)
         round_cut(qm, sols["cut"], trials=20, seed=0)
         for sol in sols.values():
-            assert np.array_equal(gram_vectors(sol).vectors, sol.factor)
+            assert rounding.gram_vectors(sol) is sol.factor
         assert calls == []
