@@ -119,3 +119,18 @@ def cut_extra_corpus(count: int = 5, seed: int = CORPUS_SEED + 1) -> list[tuple[
     """A few mid-size random graphs (n in 10..14) for bipartition checks."""
     rng = np.random.default_rng(seed)
     return [(f"mid{i:02d}", _random_undirected(rng, 10, 14)) for i in range(count)]
+
+
+def planted_weighted(n: int, blocks: int, seed: int) -> Graph:
+    """Seeded weighted planted-partition graph: vertex i in block i % blocks,
+    pairs joined with probability 0.5 inside a block and 1.5 / n between
+    blocks, weights uniform in {0.25, 0.5, ..., 2}. The full solver needs
+    hundreds to thousands of ADMM iterations on them at n of 30 to 60."""
+    rng = np.random.default_rng(seed)
+    edges = tuple(
+        (i, j, float(rng.integers(1, 9)) / 4.0)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < (0.5 if i % blocks == j % blocks else 1.5 / n)
+    )
+    return Graph(n=n, edges=edges, variant="weighted")

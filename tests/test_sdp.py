@@ -16,10 +16,10 @@ from modkit import (
     solve_cut_sdp,
     solve_full_sdp,
 )
-from modkit import rounding
+from modkit import rounding, sdp
 from modkit.cli import main as cli_main
 from modkit.modularity import summands
-from modkit.sdp import _psd_factor
+from modkit.sdp import _psd_factor, _reflect, _residual_jacobian
 
 import fixtures
 
@@ -197,6 +197,70 @@ class TestFullSolve:
         diag_err, min_eig, _ = feasibility_residuals(sol, nonneg=False)
         assert diag_err <= 1e-6
         assert min_eig >= -1e-9
+
+
+class TestNewtonSteps:
+    # ADMM also tries semismooth Newton steps on its fixed-point residual
+    # F(t) = B(t) - P+(2 B(t) - t + c / rho); attempts are not iterations
+
+    @staticmethod
+    def residual(t, c_rho):
+        # F computed from scratch: B clips to >= 0 and sets the diagonal
+        # to 1, P+ drops the negative eigenvalues
+        bt = np.clip(t, 0.0, None)
+        np.fill_diagonal(bt, 1.0)
+        lam, vecs = np.linalg.eigh(2.0 * bt - t + c_rho)
+        return bt - (vecs * np.clip(lam, 0.0, None)) @ vecs.T
+
+    def test_jacobian_matches_central_differences(self):
+        # at a point where F is differentiable (no zero entry of t, no zero
+        # eigenvalue of the reflected matrix) the matvec is its derivative
+        rng = np.random.default_rng(5)
+        t, c_rho, h = ((a + a.T) / 2.0 for a in rng.standard_normal((3, 12, 12)))
+        bt = np.clip(t, 0.0, None)
+        np.fill_diagonal(bt, 1.0)
+        x, lam, vecs = _reflect(t, bt, c_rho)
+        assert np.abs(x - (bt - self.residual(t, c_rho))).max() <= 1e-12
+        assert np.abs(t).min() > 1e-3 and np.abs(lam).min() > 1e-3
+        eps = 1e-7
+        numeric = (self.residual(t + eps * h, c_rho)
+                   - self.residual(t - eps * h, c_rho)) / (2.0 * eps)
+        analytic = _residual_jacobian(t, lam, vecs)(h)
+        assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+    def test_unconverged_solve_past_the_warm_up(self, monkeypatch):
+        # stopped after Newton attempts at iterations 101 and later: the
+        # count, the factor's domain and the bound's soundness all hold,
+        # and each attempt costs at most one extra eigendecomposition
+        qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
+        converged = solve_full_sdp(qm)
+        assert converged.converged and converged.iterations > 300
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        sol = solve_full_sdp(qm, SolverOptions(max_iters=300))
+        assert not sol.converged
+        assert sol.iterations == 300 == len(sol.history)
+        assert (sol.factor @ sol.factor.T).min() >= 0.0
+        assert sol.upper_bound >= converged.objective
+        assert len(calls) <= sol.iterations + sol.iterations // 50 + 2
+
+    def test_fewer_iterations_than_plain_admm(self, monkeypatch):
+        # the same seeded graph without Newton attempts needs 1432
+        # iterations and with them 501; demand at most half
+        qm = build_q(fixtures.planted_weighted(30, 4, seed=1))
+        newton = solve_full_sdp(qm)
+        monkeypatch.setattr(sdp, "_NEWTON_WARMUP", SolverOptions().max_iters)
+        plain = solve_full_sdp(qm)
+        assert newton.converged and plain.converged
+        assert newton.iterations <= plain.iterations // 2
+        assert newton.iterations <= 700
+        assert newton.objective == pytest.approx(plain.objective, abs=1e-5)
 
 
 class TestCutSolve:
