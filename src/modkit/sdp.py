@@ -13,11 +13,13 @@ Two problems, one solver each:
   is then feasible, and often close to the optimum, though V >= 0 confines
   it to the completely positive matrices. ADMM is run as Douglas-Rachford
   splitting on one matrix, and after a warm-up it also tries, at most once
-  per 50 iterations, a safeguarded semismooth Newton step on the map's
+  per 20 iterations, a safeguarded semismooth Newton step on the map's
   fixed-point residual (Ali, Wong & Kolter 2017), with the closed-form
   generalized Jacobian of the PSD projection (Zhao, Sun & Toh 2010) and
-  one GMRES cycle; a step is kept only if it shrinks the residual, and the
-  stop test is made on plain ADMM steps. A last PSD projection repairs
+  one cycle of an in-module GMRES (Saad & Schultz 1986). The full step is
+  backtracked along its direction until it shrinks the residual enough,
+  and dropped if no step size does; the stop test is made on plain ADMM
+  steps. A last PSD projection repairs
   the final iterate, and its eigenpairs, rows normalized, give the factor.
   When ADMM stopped early and that factor's V V^T has a negative entry,
   the nonnegative start is returned instead, so the solution stays in the
@@ -52,7 +54,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .modularity import QMatrix, summands
 
@@ -82,14 +83,17 @@ _START_TOL = 1e-9
 
 # Semismooth Newton steps on ADMM's fixed-point residual: the first attempt
 # follows a warm-up of this many iterations, the next ones wait between
-# _NEWTON_WAIT and _NEWTON_MAX_WAIT iterations, a step is taken only if it
-# shrinks the residual by _NEWTON_DECREASE, and its linear system gets one
-# GMRES cycle of _NEWTON_KRYLOV iterations.
+# _NEWTON_WAIT and _NEWTON_MAX_WAIT iterations, and the linear system gets
+# one GMRES cycle of _NEWTON_KRYLOV iterations. Along the direction d the
+# steps t + alpha d are tried for alpha in _NEWTON_STEPS, in order, and the
+# first that shrinks the residual by 1 - (1 - _NEWTON_DECREASE) alpha is
+# taken.
 _NEWTON_WARMUP = 100
-_NEWTON_WAIT = 50
+_NEWTON_WAIT = 20
 _NEWTON_MAX_WAIT = 200
 _NEWTON_DECREASE = 0.9
 _NEWTON_KRYLOV = 20
+_NEWTON_STEPS = (1.0, 0.25, 0.0625, 0.015625)
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,9 @@ class SolverOptions:
     mixing sweeps of either solver and, separately, the full solver's ADMM
     iterations, so a full solve can run up to twice that many steps; its
     ``iterations`` count ADMM iterations only. The full solver's Newton
-    attempts, at most one per 50 ADMM iterations, are not iterations: they
-    add no row to the solution's ``history``."""
+    attempts, at most one per 20 ADMM iterations with up to four trial
+    eigendecompositions each, are not iterations: they add no row to the
+    solution's ``history``."""
 
     tol_obj: float = 1e-6
     max_iters: int = 50000
@@ -241,10 +246,43 @@ def _residual_jacobian(t: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     return apply
 
 
+def _gmres(matvec, b: np.ndarray, m: int) -> np.ndarray:
+    """One GMRES cycle from 0 (Saad & Schultz 1986): the x in the Krylov
+    space span(b, A b, ..., A^(m-1) b) of A = ``matvec`` that minimizes
+    |b - A x|. The Arnoldi basis is orthogonalized by two passes of
+    classical Gram-Schmidt, each a pair of matrix products against the
+    basis; the cycle stops early when the new basis vector vanishes
+    (breakdown: the space is invariant and holds the exact solution). The
+    small least-squares problem on the Hessenberg matrix gives x."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    basis = np.empty((m + 1, b.size))
+    hess = np.zeros((m + 1, m))
+    basis[0] = b / beta
+    k = m
+    for j in range(m):
+        w = matvec(basis[j])
+        scale = float(np.linalg.norm(w))
+        for _ in range(2):
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            hess[: j + 1, j] += h
+        hess[j + 1, j] = np.linalg.norm(w)
+        if hess[j + 1, j] <= 1e-14 * scale:
+            k = j + 1
+            break
+        basis[j + 1] = w / hess[j + 1, j]
+    rhs = np.zeros(k + 1)
+    rhs[0] = beta
+    y = np.linalg.lstsq(hess[: k + 1, :k], rhs, rcond=None)[0]
+    return y @ basis[:k]
+
+
 def _newton_direction(f: np.ndarray, jac) -> np.ndarray:
     """Approximate solution d of (J + mu I) d = -f, mu = |f|, for the
-    residual f = F(t) and ``jac`` = h -> J h at t, by one GMRES cycle of
-    ``_NEWTON_KRYLOV`` iterations, symmetrized."""
+    residual f = F(t) and ``jac`` = h -> J h at t, by one ``_gmres`` cycle
+    of ``_NEWTON_KRYLOV`` iterations, symmetrized."""
     n = f.shape[0]
     mu = float(np.linalg.norm(f))
 
@@ -252,9 +290,7 @@ def _newton_direction(f: np.ndarray, jac) -> np.ndarray:
         h = vec.reshape(n, n)
         return (jac(h) + mu * h).ravel()
 
-    op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    d, _ = gmres(op, -f.ravel(), restart=_NEWTON_KRYLOV, maxiter=1)
-    d = d.reshape(n, n)
+    d = _gmres(matvec, -f.ravel(), _NEWTON_KRYLOV).reshape(n, n)
     return (d + d.T) / 2.0
 
 
@@ -278,12 +314,16 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
 
     ADMM's tail is linear and slow, so after a warm-up the loop also tries
     semismooth Newton steps on the fixed-point residual F(t) = t - T(t)
-    (Ali, Wong & Kolter 2017); see ``_newton_direction``. A step t + d is
-    taken only if it shrinks |F| by the factor ``_NEWTON_DECREASE``; a
-    rejection doubles the wait before the next attempt, up to
-    ``_NEWTON_MAX_WAIT`` iterations, and an acceptance resets it. An
-    attempt is not an iteration and adds no history row; the stop test is
-    always made on a genuine ADMM step."""
+    (Ali, Wong & Kolter 2017); see ``_newton_direction``. Far from a
+    solution the full step t + d can leave the region where the
+    generalized Jacobian models F, so the step is backtracked, as in that
+    scheme's line search: t + alpha d is taken for the first alpha in
+    ``_NEWTON_STEPS`` with |F(t + alpha d)| <= (1 - (1 -
+    ``_NEWTON_DECREASE``) alpha) |F(t)|, each try costing one
+    eigendecomposition. When no alpha qualifies the wait before the next
+    attempt doubles, up to ``_NEWTON_MAX_WAIT`` iterations; an acceptance
+    resets it to ``_NEWTON_WAIT``. An attempt is not an iteration and adds
+    no history row; the stop test is always made on a genuine ADMM step."""
     rho = _INITIAL_PENALTY
     c_rho = c / rho
     bt = _box_project(v @ v.T)
@@ -300,12 +340,17 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
         x, lam, vecs = _reflect(t, bt, c_rho)
         if it >= next_newton:
             f = bt - x
-            t_try = t + _newton_direction(f, _residual_jacobian(t, lam, vecs))
-            bt_try = _box_project(t_try)
-            x_try, _, _ = _reflect(t_try, bt_try, c_rho)
-            if np.linalg.norm(bt_try - x_try) <= _NEWTON_DECREASE * np.linalg.norm(f):
-                t, bt, x = t_try, bt_try, x_try
-                wait = _NEWTON_WAIT
+            f_norm = np.linalg.norm(f)
+            d = _newton_direction(f, _residual_jacobian(t, lam, vecs))
+            for alpha in _NEWTON_STEPS:
+                t_try = t + alpha * d
+                bt_try = _box_project(t_try)
+                x_try, _, _ = _reflect(t_try, bt_try, c_rho)
+                decrease = 1.0 - (1.0 - _NEWTON_DECREASE) * alpha
+                if np.linalg.norm(bt_try - x_try) <= decrease * f_norm:
+                    t, bt, x = t_try, bt_try, x_try
+                    wait = _NEWTON_WAIT
+                    break
             else:
                 wait = min(2 * wait, _NEWTON_MAX_WAIT)
             next_newton = it + wait

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modkit
 from modkit import bounds
 from modkit.bounds import CONSTANTS, f_k, g_k, h_k, l_k
 
@@ -39,6 +44,32 @@ class TestConstants:
         assert CONSTANTS.cut_argmax == pytest.approx(
             0.5 + CONSTANTS.cut_threshold, abs=1e-15
         )
+
+    def test_golden_section_matches_scipy_bit_for_bit(self):
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(
+            bounds._chord_ratio,
+            bracket=(0.0, 0.7, 0.999),
+            method="golden",
+            options={"xtol": 1e-13},
+        )
+        assert CONSTANTS.cut_beta == float(res.x)
+        assert CONSTANTS.cut_alpha == float(res.fun)
+
+
+def test_cli_imports_no_scipy():
+    # the constants are computed at import time without scipy, so the
+    # command line loads none of it
+    env = dict(os.environ)
+    src = str(Path(modkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, modkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestFK:

@@ -19,7 +19,7 @@ from modkit import (
 from modkit import rounding, sdp
 from modkit.cli import main as cli_main
 from modkit.modularity import summands
-from modkit.sdp import _psd_factor, _reflect, _residual_jacobian
+from modkit.sdp import _gmres, _psd_factor, _reflect, _residual_jacobian
 
 import fixtures
 
@@ -231,10 +231,11 @@ class TestNewtonSteps:
     def test_unconverged_solve_past_the_warm_up(self, monkeypatch):
         # stopped after Newton attempts at iterations 101 and later: the
         # count, the factor's domain and the bound's soundness all hold,
-        # and each attempt costs at most one extra eigendecomposition
+        # and each attempt, at most one per _NEWTON_WAIT iterations, costs
+        # at most one extra eigendecomposition per step size it tries
         qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
         converged = solve_full_sdp(qm)
-        assert converged.converged and converged.iterations > 300
+        assert converged.converged and converged.iterations > 200
         calls = []
         eigh = np.linalg.eigh
 
@@ -243,16 +244,17 @@ class TestNewtonSteps:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        sol = solve_full_sdp(qm, SolverOptions(max_iters=300))
+        sol = solve_full_sdp(qm, SolverOptions(max_iters=200))
         assert not sol.converged
-        assert sol.iterations == 300 == len(sol.history)
+        assert sol.iterations == 200 == len(sol.history)
         assert (sol.factor @ sol.factor.T).min() >= 0.0
         assert sol.upper_bound >= converged.objective
-        assert len(calls) <= sol.iterations + sol.iterations // 50 + 2
+        iterations = sol.iterations
+        assert len(calls) <= iterations + 4 * ((iterations - 101) // 20 + 1) + 2
 
     def test_fewer_iterations_than_plain_admm(self, monkeypatch):
         # the same seeded graph without Newton attempts needs 1432
-        # iterations and with them 501; demand at most half
+        # iterations and with them 371; demand at most half
         qm = build_q(fixtures.planted_weighted(30, 4, seed=1))
         newton = solve_full_sdp(qm)
         monkeypatch.setattr(sdp, "_NEWTON_WARMUP", SolverOptions().max_iters)
@@ -261,6 +263,55 @@ class TestNewtonSteps:
         assert newton.iterations <= plain.iterations // 2
         assert newton.iterations <= 700
         assert newton.objective == pytest.approx(plain.objective, abs=1e-5)
+
+    def test_backtracking_saves_iterations(self, monkeypatch):
+        # with the full step only, the seeded graph needs 423 iterations,
+        # and 289 when shorter steps along the same direction are tried
+        qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
+        backtracked = solve_full_sdp(qm)
+        monkeypatch.setattr(sdp, "_NEWTON_STEPS", (1.0,))
+        full_step = solve_full_sdp(qm)
+        assert backtracked.converged and full_step.converged
+        assert full_step.iterations >= 1.25 * backtracked.iterations
+        assert backtracked.objective == pytest.approx(full_step.objective, abs=1e-5)
+
+
+class TestGmres:
+    @staticmethod
+    def system(dim):
+        # well conditioned: the identity plus a small random part
+        rng = np.random.default_rng(3)
+        a = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        return a, rng.standard_normal(dim)
+
+    @pytest.mark.parametrize("m", [30, 40])
+    def test_full_space_solves_the_system(self, m):
+        a, b = self.system(30)
+        x = _gmres(lambda v: a @ v, b, m)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_minimal_residual_over_the_krylov_space(self, m):
+        a, b = self.system(30)
+        krylov = np.empty((30, m))
+        krylov[:, 0] = b
+        for j in range(1, m):
+            krylov[:, j] = a @ krylov[:, j - 1]
+        coef = np.linalg.lstsq(a @ krylov, b, rcond=None)[0]
+        x = _gmres(lambda v: a @ v, b, m)
+        assert np.linalg.norm(x - krylov @ coef) <= 1e-10 * np.linalg.norm(x)
+
+    def test_zero_right_hand_side(self):
+        a, _ = self.system(5)
+        assert not _gmres(lambda v: a @ v, np.zeros(5), 3).any()
+
+    def test_breakdown_stops_the_cycle(self):
+        # b lies in a 2-dimensional invariant subspace, so the cycle stops
+        # after two steps with the exact solution
+        a = np.diag([2.0, 3.0, 5.0, 7.0])
+        b = np.array([1.0, 1.0, 0.0, 0.0])
+        x = _gmres(lambda v: a @ v, b, 4)
+        assert np.abs(x - [0.5, 1.0 / 3.0, 0.0, 0.0]).max() <= 1e-14
 
 
 class TestCutSolve:
