@@ -68,16 +68,15 @@ def h_k(x, k):
 
 def g_k(x, k):
     """Additive error of k-hyperplane rounding as a function of the
-    positive-mass average: x - f_k(x) + 1/2**k. Strictly concave on (0, 1)."""
-    arr = _check_domain(x, 0.0, 1.0)
-    k = _check_k(k)
-    out = arr - (1.0 - np.arccos(arr) / np.pi) ** k + 0.5**k
+    positive-mass average: x - f_k(x) + 1/2**k. Strictly concave on (0, 1).
+    It is the last column of ``g_table(x, k)``, to the bit."""
+    out = g_table(x, k)[..., -1]
     return out if out.ndim else float(out)
 
 
 def g_table(x, k_hi):
-    """g_k(x) for k = 1, ..., k_hi along a new last axis. An entry can
-    differ from the scalar ``g_k`` in the last bit."""
+    """x - f_k(x) + 1/2**k for k = 1, ..., k_hi along a new last axis: the
+    one evaluation of the per-k error."""
     arr = _check_domain(x, 0.0, 1.0)
     ks = np.arange(1, _check_k(k_hi) + 1)
     base = 1.0 - np.arccos(arr) / np.pi

@@ -68,7 +68,8 @@ def dumps_report(report: dict) -> str:
 def _open_output(path: str | None):
     """Yield the write function of a report or iterate log: to stdout for no
     path or "-", else to the file at ``path``, opened (and so checked) on
-    entry but emptied only by the write. If the block fails, a file it
+    entry but emptied only by the write, and only when it is seekable (a
+    pipe or FIFO cannot be truncated). If the block fails, a file it
     created is removed."""
     if path is None or path == "-":
         yield sys.stdout.write
@@ -76,7 +77,8 @@ def _open_output(path: str | None):
     created = not os.path.exists(path)
     with open(path, "a") as fh:
         def write(text: str) -> None:
-            fh.truncate(0)
+            if fh.seekable():
+                fh.truncate(0)
             fh.write(text)
         try:
             yield write
@@ -217,6 +219,8 @@ def _figure_rows(figure: int, samples: int, k_max: int):
 def _run_bounds(args) -> int:
     if args.samples < 1:
         raise ValueError("samples must be at least 1")
+    if args.k_max < 1:
+        raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     meta, header, table = _figure_rows(args.figure, args.samples, args.k_max)
     lines = meta + [",".join(header)]
     for row in table:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graph import Graph, degrees
 
-__all__ = ["QMatrix", "Partition", "build_q", "summands", "modularity"]
+__all__ = ["QMatrix", "Partition", "build_q", "summands", "code_scores", "modularity"]
 
 # Entry sums of a valid coefficient matrix vanish; tolerance scales with n^2.
 _SUM_TOL = 1e-12
@@ -151,13 +151,20 @@ def build_q(g: Graph) -> QMatrix:
     return QMatrix(graph=g, entries=entries, q_mass=q_mass, scale=scale)
 
 
+def code_scores(qm: QMatrix, codes: np.ndarray) -> np.ndarray:
+    """Scores of the partitions given as rows of cluster codes, one integer
+    per vertex (equal codes share a cluster): per row, the sum of q_ij over
+    same-cluster pairs. The one scorer of the package. A plain ``einsum``
+    sums each row on its own, so a row's score has the same bits in a batch
+    of any size."""
+    same = codes[:, :, None] == codes[:, None, :]
+    return np.einsum("tij,ij->t", same, qm.entries)
+
+
 def modularity(qm: QMatrix, p: Partition) -> float:
     """Score of a partition: sum of q_ij over same-cluster pairs."""
     if len(p.assign) != qm.graph.n:
         raise ValueError(
             f"partition covers {len(p.assign)} vertices, matrix has {qm.graph.n}"
         )
-    labels = np.asarray(p.assign)
-    ind = np.zeros((qm.graph.n, p.k))
-    ind[np.arange(qm.graph.n), labels] = 1.0
-    return float(((qm.entries @ ind) * ind).sum())
+    return float(code_scores(qm, np.asarray([p.assign]))[0])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .modularity import Partition, QMatrix, modularity
+from .modularity import Partition, QMatrix, code_scores
 from .sdp import SdpSolution
 
 __all__ = [
@@ -49,13 +49,6 @@ _TIE_TOL = 1e-12
 # same-cluster mask takes _TRIAL_BLOCK * n**2 bytes (1.3 MiB at n = 72), so
 # memory does not grow with the trial count.
 _TRIAL_BLOCK = 256
-
-# Block scores sum the coefficients in another order than ``modularity``.
-# Either sum is within 2 * n**2 * eps of the exact score (the absolute
-# entries sum to below 2), so the winning trial's block score lies within
-# 8 * n**2 * eps of the top one. Trials within this many n**2 of the top
-# block score are re-scored with ``modularity`` before the winner is picked.
-_RESCORE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,19 +120,18 @@ def hyperplane_round(
     random hyperplanes.
 
     Vertices sharing the sign pattern of all k projections share a
-    cluster; a zero projection counts as positive. Labels are compacted to
-    contiguous ids and the partition scored against ``qm``.
+    cluster; a zero projection counts as positive. The pattern, read as k
+    bits, is a vertex's cluster code; codes are compacted to contiguous ids
+    and the partition scored against ``qm``.
     """
     if k < 1:
         raise ValueError("k must be positive")
     rng = _trial_rng(seed, trial)
     dirs = rng.standard_normal((k, vectors.shape[1]))
-    signs = (vectors @ dirs.T) >= 0.0
-    _, labels = np.unique(signs, axis=0, return_inverse=True)
-    part = Partition.from_labels(labels.ravel())
+    codes = ((vectors @ dirs.T) >= 0.0) @ (1 << np.arange(k))
     return RoundingOutcome(
-        partition=part,
-        score=modularity(qm, part),
+        partition=Partition.from_labels(codes),
+        score=float(code_scores(qm, codes[None])[0]),
         k_used=k,
         trial_seed=(seed, trial),
     )
@@ -150,8 +142,9 @@ def _trial_blocks(qm, vectors, k, trials, seed):
     trial)`` would, in blocks of at most ``_TRIAL_BLOCK``.
 
     Yields each block's first trial, its cluster codes (one row per trial,
-    one integer per vertex; equal codes share a cluster) and its scores,
-    each within 2 * n**2 * eps of the ``modularity`` of its partition.
+    one integer per vertex; equal codes share a cluster) and their
+    ``code_scores``, the same bits as each trial's ``hyperplane_round``
+    score.
     """
     # One generator, reset to trial t's counter with an empty buffer, draws
     # what _trial_rng(seed, t) would, without building a generator per trial.
@@ -171,8 +164,7 @@ def _trial_blocks(qm, vectors, k, trials, seed):
         signs = (vectors @ dirs.transpose(0, 2, 1)) >= 0.0
         # a vertex's k sign bits as one integer: its cluster code
         codes = signs @ bits
-        same = codes[:, :, None] == codes[:, None, :]
-        yield start, codes, np.einsum("tij,ij->t", same, qm.entries)
+        yield start, codes, code_scores(qm, codes)
 
 
 def _best_of_trials(qm, vectors, k, trials, seed):
@@ -180,23 +172,17 @@ def _best_of_trials(qm, vectors, k, trials, seed):
     as ``hyperplane_round(qm, vectors, k, seed, trial)`` would round it."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    tol = _RESCORE_TOL * qm.graph.n * qm.graph.n
     best = None
-    top = -np.inf
     for start, codes, scores in _trial_blocks(qm, vectors, k, trials, seed):
-        top = max(top, scores.max())
-        near = np.flatnonzero(scores >= top - tol)
-        _, first = np.unique(codes[near], axis=0, return_index=True)
-        for i in near[np.sort(first)]:
-            part = Partition.from_labels(codes[i])
-            score = modularity(qm, part)
-            if best is None or score > best.score:
-                best = RoundingOutcome(
-                    partition=part,
-                    score=score,
-                    k_used=k,
-                    trial_seed=(seed, start + int(i)),
-                )
+        # argmax keeps a block's first top score; a later block must beat it
+        i = int(np.argmax(scores))
+        if best is None or scores[i] > best.score:
+            best = RoundingOutcome(
+                partition=Partition.from_labels(codes[i]),
+                score=float(scores[i]),
+                k_used=k,
+                trial_seed=(seed, start + i),
+            )
     return best
 
 

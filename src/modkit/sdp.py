@@ -19,11 +19,10 @@ Two problems, one solver each:
   one cycle of an in-module GMRES (Saad & Schultz 1986). The full step is
   backtracked along its direction until it shrinks the residual enough,
   and dropped if no step size does; the stop test is made on plain ADMM
-  steps. A last PSD projection repairs
-  the final iterate, and its eigenpairs, rows normalized, give the factor.
-  When ADMM stopped early and that factor's V V^T has a negative entry,
-  the nonnegative start is returned instead, so the solution stays in the
-  relaxation's domain.
+  steps. The eigenpairs of the last PSD projection, rows normalized, give
+  the factor. When ADMM stopped early and that factor's V V^T has a
+  negative entry, the nonnegative start is returned instead, so the
+  solution stays in the relaxation's domain.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
   modularity over bipartitions. It is solved by the mixing method (Wang,
@@ -168,16 +167,6 @@ class SdpSolution:
         return float(self.history[-1, 2])
 
 
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """The factor of the PSD projection of ``mat`` from its eigenpairs, with
-    each row normalized to unit length."""
-    w, u = np.linalg.eigh(mat)
-    np.clip(w, 0.0, None, out=w)
-    factor = (u * np.sqrt(w))[:, w > 0.0]
-    factor /= np.linalg.norm(factor, axis=1)[:, None]
-    return factor
-
-
 def _box_project(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The nearest nonnegative matrix with unit diagonal, written to ``out``
     when given."""
@@ -296,11 +285,13 @@ def _newton_direction(f: np.ndarray, jac) -> np.ndarray:
 
 def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     """Maximize <c, X> over PSD X >= 0 with unit diagonal, starting from
-    the feasible point X = V V^T for a unit-row V >= 0. Returns (X,
-    converged, upper_bound, history), the last with one row (objective,
-    primal_res, dual_res) per iteration. It stops when both residuals are
-    at most tol_obj / 40 and the objective changed by at most tol_obj,
-    relative.
+    the feasible point X = V V^T for a unit-row V >= 0. Returns (factor,
+    converged, upper_bound, history). The factor is that of the last PSD
+    projection x, built from its positive eigenpairs with rows normalized,
+    so its Gram matrix is x with the diagonal scaled to 1; history has one
+    row (objective, primal_res, dual_res) per iteration. It stops when both
+    residuals are at most tol_obj / 40 and the objective changed by at most
+    tol_obj, relative.
 
     ADMM with scaled dual u is run as Douglas-Rachford on the one matrix
     t = x + u: z = B(t) and u = t - B(t) for the box projection B, and one
@@ -345,10 +336,11 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
             for alpha in _NEWTON_STEPS:
                 t_try = t + alpha * d
                 bt_try = _box_project(t_try)
-                x_try, _, _ = _reflect(t_try, bt_try, c_rho)
+                x_try, lam_try, vecs_try = _reflect(t_try, bt_try, c_rho)
                 decrease = 1.0 - (1.0 - _NEWTON_DECREASE) * alpha
                 if np.linalg.norm(bt_try - x_try) <= decrease * f_norm:
                     t, bt, x = t_try, bt_try, x_try
+                    lam, vecs = lam_try, vecs_try
                     wait = _NEWTON_WAIT
                     break
             else:
@@ -395,7 +387,10 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
         _dual_bound(c, s * np.diag(dual), np.clip(-s * off, 0.0, None))
         for s in (1.0, -1.0)
     )
-    return x, converged, bound, np.frombuffer(history).reshape(-1, 3)
+    k = int(np.searchsorted(lam, 0.0, side="right"))
+    factor = vecs[:, k:] * np.sqrt(lam[k:])
+    factor /= np.linalg.norm(factor, axis=1)[:, None]
+    return factor, converged, bound, np.frombuffer(history).reshape(-1, 3)
 
 
 def _mixing_start(n: int) -> np.ndarray:
@@ -480,34 +475,24 @@ def _nonneg_mixing(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
     return v
 
 
-def _repair(x: np.ndarray) -> np.ndarray:
-    """Rescale an iterate's diagonal to exactly 1, clamp negatives and return
-    the unit-row factor V of the PSD projection. V V^T keeps residual-sized
-    negative entries, within tol_obj / 40 once ADMM converged."""
-    dg = np.sqrt(np.clip(np.diag(x), 1e-12, None))
-    out = x / np.outer(dg, dg)
-    np.clip(out, 0.0, None, out=out)
-    return _psd_factor((out + out.T) / 2.0)
-
-
 def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
-    """Solve the full relaxation and report the repaired solution.
+    """Solve the full relaxation and report the factor of ADMM's last PSD
+    projection.
 
     z_plus (in [0, 1]) and z_minus (in [-1, 0], or above 0 by no more than
-    the negative entries a converged repair keeps) are the entry averages
-    of the solution weighted by the positive and negative coefficient mass.
-    A solve that exhausts max_iters returns its repaired last iterate, or
-    the nonnegative start when that has a negative entry, flagged
-    converged=False; the caller decides what to do with it.
+    the residual-sized negative entries a converged solve keeps) are the
+    entry averages of the solution weighted by the positive and negative
+    coefficient mass. A solve that exhausts max_iters returns its last
+    projection, or the nonnegative start when that has a negative entry,
+    flagged converged=False; the caller decides what to do with it.
     """
     opts = opts or SolverOptions()
     start = _nonneg_mixing(qm.entries, opts)
-    x, converged, bound, history = _admm(qm.entries, opts, start)
-    factor = _repair(x)
+    factor, converged, bound, history = _admm(qm.entries, opts, start)
     gram = factor @ factor.T
     if not converged and gram.min() < 0.0:
-        # an early-stopped repair can leave negative entries, outside the
-        # domain [0, 1] on which the rounding floor holds; the start is
+        # an early-stopped projection can leave negative entries, outside
+        # the domain [0, 1] on which the rounding floor holds; the start is
         # feasible, so the floor holds for it exactly
         factor = start
         gram = factor @ factor.T

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +301,31 @@ class TestSolve:
                 log.splitlines()) - 1
 
 
+    @pytest.mark.parametrize("flag", ["--output", "--iterate-log"])
+    def test_output_to_a_pipe(self, k2_file, tmp_path, flag):
+        # /dev/stdout is the pipe the text is read from: it cannot be
+        # truncated, so the write must not try
+        env = dict(os.environ)
+        src = str(Path(modkit.cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "r.json"
+        sink = ["--output", "/dev/stdout"]
+        if flag == "--iterate-log":
+            sink = ["--output", str(out), "--iterate-log", "/dev/stdout"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "modkit.cli", "solve", "--input", k2_file,
+             "--trials", "5", *sink],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        if flag == "--output":
+            assert json.loads(proc.stdout)["graph"]["n"] == 2
+        else:
+            assert proc.stdout.startswith("iteration,objective,")
+            assert json.loads(out.read_text())["graph"]["n"] == 2
+
+
 class TestCut:
     def test_cut_report(self, tri2_file, tmp_path):
         out = tmp_path / "cut.json"
@@ -408,6 +437,15 @@ class TestBounds:
         for samples in ("0", "-3"):
             assert main(["bounds", "--figure", "1", "--samples", samples]) == 2
             assert capsys.readouterr().err == "modkit: error: samples must be at least 1\n"
+
+    def test_k_max_below_one_rejected(self, capsys):
+        # every figure checks the flag, not only figure 2, which reads it
+        for figure in ("1", "2", "3", "4"):
+            for k_max in ("0", "-2"):
+                assert main(["bounds", "--figure", figure, "--k-max", k_max]) == 2
+                assert capsys.readouterr().err == (
+                    f"modkit: error: --k-max must be at least 1, got {k_max}\n"
+                )
 
     def test_bad_figure_rejected(self):
         with pytest.raises(SystemExit) as exc:
