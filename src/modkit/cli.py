@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import os
 import secrets
+import stat
 import sys
 
 import numpy as np
@@ -64,22 +65,33 @@ def dumps_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _replaces(fh) -> bool:
+    """Whether a write empties ``fh`` first: only a regular file that is not
+    our own stdout or stderr (``--output /dev/stdout >> log`` appends)."""
+    st = os.fstat(fh.fileno())
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):  # the stream is closed
+            if os.path.samestat(st, os.fstat(fd)):
+                return False
+    return stat.S_ISREG(st.st_mode)
+
+
 @contextlib.contextmanager
 def _open_output(path: str | None):
     """Yield the write function of a report or iterate log: to stdout for no
     path or "-", else to the file at ``path``, opened (and so checked) on
-    entry but emptied only by the write, and only when it is seekable (a
-    pipe or FIFO cannot be truncated). If the block fails, a file it
-    created is removed."""
-    if path is None or path == "-":
-        yield sys.stdout.write
-        return
-    created = not os.path.exists(path)
-    with open(path, "a") as fh:
+    entry but emptied only by the write, and only when ``_replaces`` says
+    so. Each write is flushed, so writes reach a shared stream in the order
+    they are made. If the block fails, a file it created is removed."""
+    to_stdout = path is None or path == "-"
+    created = not to_stdout and not os.path.exists(path)
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "a") as fh:
+        replace = not to_stdout and _replaces(fh)
         def write(text: str) -> None:
-            if fh.seekable():
+            if replace:
                 fh.truncate(0)
             fh.write(text)
+            fh.flush()
         try:
             yield write
         except BaseException:

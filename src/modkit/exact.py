@@ -1,10 +1,10 @@
 """Brute-force oracles: exact optima over all partitions and bipartitions.
 
-These exist to certify the relaxation and rounding machinery at desk
-scale. Full enumeration walks restricted-growth strings (vertex v may
-open at most one new cluster), updating the score incrementally: moving a
-vertex into a cluster changes the score by its diagonal coefficient plus
-twice its coupling to the cluster's members.
+They certify the relaxation and rounding at desk scale. Both score blocks
+of cluster-code rows with ``code_scores`` and keep the first best row with
+``first_best``, as rounding does: full enumeration in the lexicographic
+order of restricted-growth strings (vertex v may open at most one new
+cluster), the bipartition oracle in mask order.
 """
 
 from __future__ import annotations
@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modularity import Partition, QMatrix
+from .modularity import Partition, QMatrix, code_scores, first_best
 
 __all__ = ["ExactResult", "exact_full", "exact_cut", "bell_number"]
 
 FULL_LIMIT = 12
 CUT_LIMIT = 20
 
+# Full enumeration scores the strings that share all labels but the last
+# _FULL_TAIL at once (fewer than n**3), the bipartition oracle _CUT_CHUNK masks.
+_FULL_TAIL = 3
 _CUT_CHUNK = 1 << 14
 
 
@@ -45,6 +48,43 @@ class ExactResult:
     enumerated: int
 
 
+def _rgs_blocks(qm: QMatrix, tail: int):
+    """All restricted-growth strings of n labels in lexicographic order, in
+    (start, codes, scores) blocks of the strings that share their first
+    n - tail labels; ``start`` numbers a block's first string."""
+    n = qm.graph.n
+    prefix, start = [0] * (n - tail), 0
+    while True:
+        codes = np.array([prefix], dtype=np.int64)
+        for _ in range(tail):
+            # each row grows by every label it allows, 0..max+1, in order
+            width = codes.max(axis=1, initial=-1) + 2
+            label = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+            codes = np.column_stack([np.repeat(codes, width, axis=0), label])
+        yield start, codes, code_scores(qm, codes)
+        start += len(codes)
+        # next prefix: grow the last label that may grow, zero those after it
+        i = n - tail - 1
+        while i > 0 and prefix[i] > max(prefix[:i]):
+            i -= 1
+        if i < 1:
+            return
+        prefix[i] += 1
+        prefix[i + 1:] = [0] * (n - tail - 1 - i)
+
+
+def _mask_blocks(qm: QMatrix):
+    """The 2**(n-1) bipartitions in (start, codes, scores) blocks of
+    ``_CUT_CHUNK`` masks, bit v of a mask giving vertex v's side. Masks stay
+    below 2**(n-1): vertex n-1 is on side 0, and each appears once."""
+    n_masks = 1 << (qm.graph.n - 1)
+    bits = np.arange(qm.graph.n)
+    for start in range(0, n_masks, _CUT_CHUNK):
+        masks = np.arange(start, min(start + _CUT_CHUNK, n_masks))
+        codes = (masks[:, None] >> bits) & 1
+        yield start, codes, code_scores(qm, codes)
+
+
 def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
     """Maximize the partition score over all set partitions by exhaustive
     enumeration. Rejects n > limit with the Bell-number count that made it
@@ -55,75 +95,18 @@ def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
             f"n={n} exceeds the enumeration limit {limit} "
             f"(Bell({n}) = {bell_number(n)} partitions)"
         )
-    q = qm.entries.tolist()
-
-    labels = [0] * n
-    members: list[list[int]] = []
-    state = {"best": -np.inf, "best_labels": None, "count": 0}
-
-    def descend(v: int, score: float):
-        if v == n:
-            state["count"] += 1
-            if score > state["best"]:
-                state["best"] = score
-                state["best_labels"] = labels[:]
-            return
-        row = q[v]
-        for c in range(len(members) + 1):
-            fresh = c == len(members)
-            if fresh:
-                members.append([])
-            bucket = members[c]
-            delta = row[v] + 2.0 * sum(row[u] for u in bucket)
-            labels[v] = c
-            bucket.append(v)
-            descend(v + 1, score + delta)
-            bucket.pop()
-            if fresh:
-                members.pop()
-
-    descend(0, 0.0)
-    return ExactResult(
-        opt_value=float(state["best"]),
-        opt_partition=Partition.from_labels(state["best_labels"]),
-        enumerated=state["count"],
-    )
+    _, codes, score = first_best(_rgs_blocks(qm, min(_FULL_TAIL, n)))
+    return ExactResult(score, Partition.from_labels(codes), bell_number(n))
 
 
 def exact_cut(qm: QMatrix, limit: int = CUT_LIMIT) -> ExactResult:
     """Maximize the partition score over all 2**(n-1) unordered
-    bipartitions, the single-cluster split included.
-
-    With sign vector s in {-1, +1}^n the score is (sum(q) + s q s) / 2;
-    masks are evaluated in vectorized chunks with vertex n-1 pinned to one
-    side so each unordered bipartition appears once.
-    """
+    bipartitions, the single-cluster split included."""
     n = qm.graph.n
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the enumeration limit {limit} "
             f"(2**{n - 1} = {2 ** (n - 1)} bipartitions)"
         )
-    q = qm.entries
-    total = float(q.sum())
-    n_masks = 1 << (n - 1)
-    bits = np.arange(n - 1, dtype=np.int64)
-
-    best_val = -np.inf
-    best_mask = 0
-    for start in range(0, n_masks, _CUT_CHUNK):
-        masks = np.arange(start, min(start + _CUT_CHUNK, n_masks), dtype=np.int64)
-        signs = np.ones((masks.size, n))
-        signs[:, :-1] -= 2.0 * ((masks[:, None] >> bits) & 1)
-        vals = 0.5 * (total + np.einsum("bi,ij,bj->b", signs, q, signs))
-        top = int(np.argmax(vals))
-        if vals[top] > best_val:
-            best_val = float(vals[top])
-            best_mask = start + top
-
-    side = [(best_mask >> v) & 1 if v < n - 1 else 0 for v in range(n)]
-    return ExactResult(
-        opt_value=best_val,
-        opt_partition=Partition.from_labels(side),
-        enumerated=n_masks,
-    )
+    _, codes, score = first_best(_mask_blocks(qm))
+    return ExactResult(score, Partition.from_labels(codes), 1 << (n - 1))

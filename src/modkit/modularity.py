@@ -23,7 +23,8 @@ import numpy as np
 
 from .graph import Graph, degrees
 
-__all__ = ["QMatrix", "Partition", "build_q", "summands", "code_scores", "modularity"]
+__all__ = ["QMatrix", "Partition", "build_q", "summands", "code_scores",
+           "first_best", "modularity"]
 
 # Entry sums of a valid coefficient matrix vanish; tolerance scales with n^2.
 _SUM_TOL = 1e-12
@@ -159,6 +160,19 @@ def code_scores(qm: QMatrix, codes: np.ndarray) -> np.ndarray:
     of any size."""
     same = codes[:, :, None] == codes[:, None, :]
     return np.einsum("tij,ij->t", same, qm.entries)
+
+
+def first_best(blocks) -> tuple[int, np.ndarray, float]:
+    """(number, codes, score) of the first row with the greatest score in
+    ``blocks`` of (start, codes, scores), ``start`` numbering a block's
+    first row. The one search behind every best partition of the package."""
+    best = None
+    for start, codes, scores in blocks:
+        # argmax keeps a block's first top score; a later block must beat it
+        i = int(np.argmax(scores))
+        if best is None or scores[i] > best[2]:
+            best = (start + i, codes[i].copy(), float(scores[i]))
+    return best
 
 
 def modularity(qm: QMatrix, p: Partition) -> float:

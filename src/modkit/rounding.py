@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .modularity import Partition, QMatrix, code_scores
+from .modularity import Partition, QMatrix, code_scores, first_best
 from .sdp import SdpSolution
 
 __all__ = [
@@ -172,18 +172,8 @@ def _best_of_trials(qm, vectors, k, trials, seed):
     as ``hyperplane_round(qm, vectors, k, seed, trial)`` would round it."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    best = None
-    for start, codes, scores in _trial_blocks(qm, vectors, k, trials, seed):
-        # argmax keeps a block's first top score; a later block must beat it
-        i = int(np.argmax(scores))
-        if best is None or scores[i] > best.score:
-            best = RoundingOutcome(
-                partition=Partition.from_labels(codes[i]),
-                score=float(scores[i]),
-                k_used=k,
-                trial_seed=(seed, start + i),
-            )
-    return best
+    trial, codes, score = first_best(_trial_blocks(qm, vectors, k, trials, seed))
+    return RoundingOutcome(Partition.from_labels(codes), score, k, (seed, trial))
 
 
 def round_full(

@@ -17,6 +17,17 @@ TRI2 = "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n"
 K2 = "0 1\n"
 
 
+def _run_module(argv, stdout, **env):
+    """Run ``python -m modkit.cli`` on ``argv`` in a subprocess that imports
+    this checkout's package, with ``env`` added to the environment."""
+    env = {**os.environ, **env}
+    src = str(Path(modkit.cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "modkit.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=60)
+
+
 @pytest.fixture
 def tri2_file(tmp_path):
     path = tmp_path / "tri2.txt"
@@ -305,18 +316,12 @@ class TestSolve:
     def test_output_to_a_pipe(self, k2_file, tmp_path, flag):
         # /dev/stdout is the pipe the text is read from: it cannot be
         # truncated, so the write must not try
-        env = dict(os.environ)
-        src = str(Path(modkit.cli.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "r.json"
         sink = ["--output", "/dev/stdout"]
         if flag == "--iterate-log":
             sink = ["--output", str(out), "--iterate-log", "/dev/stdout"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "modkit.cli", "solve", "--input", k2_file,
-             "--trials", "5", *sink],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = _run_module(["solve", "--input", k2_file, "--trials", "5", *sink],
+                           stdout=subprocess.PIPE)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         if flag == "--output":
@@ -324,6 +329,31 @@ class TestSolve:
         else:
             assert proc.stdout.startswith("iteration,objective,")
             assert json.loads(out.read_text())["graph"]["n"] == 2
+
+    def test_output_to_stdout_appended_to_a_file(self, k2_file, tmp_path):
+        # the shell's `>> run.log` makes /dev/stdout the regular file
+        # run.log; writing the report there must keep what it held
+        log = tmp_path / "run.log"
+        log.write_text("earlier\n")
+        with open(log, "a") as sink:
+            proc = _run_module(["solve", "--input", k2_file, "--trials", "5",
+                                "--output", "/dev/stdout"], stdout=sink)
+        assert proc.returncode == 0, proc.stderr
+        earlier, report = log.read_text().split("\n", 1)
+        assert earlier == "earlier"
+        assert json.loads(report)["graph"]["n"] == 2
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_iterate_log_to_stdout_comes_first(self, k2_file, unbuffered):
+        # the log goes through its own handle on /dev/stdout and the report
+        # through sys.stdout; both reach the pipe in the order written
+        proc = _run_module(["solve", "--input", k2_file, "--trials", "5",
+                            "--iterate-log", "/dev/stdout", "--output", "-"],
+                           stdout=subprocess.PIPE,
+                           PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 0, proc.stderr
+        header = "iteration,objective,primal_residual,dual_residual\n"
+        assert proc.stdout.index(header) < proc.stdout.index("{")
 
 
 class TestCut:

@@ -1,9 +1,45 @@
+import numpy as np
 import pytest
 
-from modkit import build_q, exact_cut, exact_full, modularity
-from modkit.exact import bell_number
+from modkit import (
+    build_q,
+    exact_cut,
+    exact_full,
+    modularity,
+    round_cut,
+    round_full,
+    solve_cut_sdp,
+    solve_full_sdp,
+)
+from modkit import exact
+from modkit.exact import _mask_blocks, _rgs_blocks, bell_number
 
 import fixtures
+
+
+def _set_partitions(n):
+    """Every set partition of range(n) as labels, each at most one above
+    every label before it, in lexicographic order."""
+    rows = [[]]
+    for _ in range(n):
+        rows = [row + [c] for row in rows for c in range(max(row, default=-1) + 2)]
+    return rows
+
+
+def _bipartitions(n):
+    """Every unordered bipartition of range(n), vertex n-1 on side 0."""
+    return [[(mask >> v) & 1 for v in range(n)] for mask in range(2 ** (n - 1))]
+
+
+def _score(q, labels):
+    """The partition score summed pair by pair, without the package."""
+    n = len(labels)
+    return sum(q[i][j] for i in range(n) for j in range(n) if labels[i] == labels[j])
+
+
+def _small_graphs(max_n):
+    return [(name, g) for name, g in fixtures.named_fixtures() + fixtures.random_corpus()
+            if g.n <= max_n]
 
 
 class TestBellNumber:
@@ -94,3 +130,67 @@ class TestExactCut:
                 continue
             res = exact_full(build_q(g))
             assert res.opt_value <= 1.0 - 1.0 / g.n + 1e-12, name
+
+
+class TestAgainstPlainEnumeration:
+    """The oracles share the package's scorer, so they are checked here
+    against an enumeration and a pair sum of their own."""
+
+    @pytest.mark.parametrize("oracle, candidates, count", [
+        (exact_full, _set_partitions, bell_number),
+        (exact_cut, _bipartitions, lambda n: 2 ** (n - 1)),
+    ], ids=["full", "cut"])
+    def test_optimum_and_count(self, oracle, candidates, count):
+        for name, g in _small_graphs(7):
+            q = build_q(g).entries.tolist()
+            rows = candidates(g.n)
+            want = max(_score(q, row) for row in rows)
+            res = oracle(build_q(g))
+            assert abs(res.opt_value - want) <= 1e-12, name
+            assert abs(_score(q, res.opt_partition.assign) - want) <= 1e-12, name
+            assert res.enumerated == len(rows) == count(g.n), name
+
+    def test_blocks_list_every_candidate_in_order(self, monkeypatch):
+        for n in range(2, 8):
+            qm = build_q(fixtures.path_graph(n))
+            want = _set_partitions(n)
+            for tail in range(1, n + 1):
+                blocks = list(_rgs_blocks(qm, tail))
+                assert [start for start, _, _ in blocks] == list(
+                    np.cumsum([0] + [len(c) for _, c, _ in blocks[:-1]]))
+                rows = np.concatenate([codes for _, codes, _ in blocks]).tolist()
+                assert rows == want, (n, tail)
+            for chunk in (1, 3, 2 ** n):
+                monkeypatch.setattr(exact, "_CUT_CHUNK", chunk)
+                rows = np.concatenate([c for _, c, _ in _mask_blocks(qm)]).tolist()
+                assert rows == _bipartitions(n), (n, chunk)
+
+
+class TestBlockSizeInvariance:
+    @pytest.mark.parametrize("size", ["one", "n"])
+    def test_same_answer_for_any_block(self, size, monkeypatch):
+        graphs = _small_graphs(8)
+        want = {name: (exact_full(build_q(g)), exact_cut(build_q(g)))
+                for name, g in graphs}
+        for name, g in graphs:
+            block = 1 if size == "one" else g.n
+            monkeypatch.setattr(exact, "_FULL_TAIL", block)
+            monkeypatch.setattr(exact, "_CUT_CHUNK", block)
+            got = (exact_full(build_q(g)), exact_cut(build_q(g)))
+            assert got == want[name], name
+
+
+def test_rounding_at_the_optimum_reports_its_bits():
+    # one scorer: where 2000 rounding trials reach the optimum, best_score
+    # and the oracle's opt are the same bits
+    pairs = []
+    for name, g in fixtures.named_fixtures() + fixtures.random_corpus():
+        qm = build_q(g)
+        _, full = round_full(qm, solve_full_sdp(qm), trials=2000, seed=1)
+        pairs.append((name, "full", full.best_score, exact_full(qm).opt_value))
+        if g.variant in ("undirected", "weighted"):
+            _, cut = round_cut(qm, solve_cut_sdp(qm), trials=2000, seed=1)
+            pairs.append((name, "cut", cut.best_score, exact_cut(qm).opt_value))
+    reached = [p for p in pairs if abs(p[2] - p[3]) <= 1e-12]
+    assert len(reached) > len(pairs) // 2
+    assert [p for p in reached if p[2] != p[3]] == []
