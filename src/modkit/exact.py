@@ -1,10 +1,14 @@
 """Brute-force oracles: exact optima over all partitions and bipartitions.
 
-They certify the relaxation and rounding at desk scale. Both score blocks
-of cluster-code rows with ``code_scores`` and keep the first best row with
+They certify the relaxation and rounding at desk scale. Both keep the
+first best row of cluster codes scored by ``code_scores`` with
 ``first_best``, as rounding does: full enumeration in the lexicographic
 order of restricted-growth strings (vertex v may open at most one new
-cluster), the bipartition oracle in mask order.
+cluster), the bipartition oracle in mask order. Full enumeration first
+sums each string's score vertex by vertex from its prefix's, and scores
+with ``code_scores`` only the strings that this sum, up to a rigorous
+rounding margin, leaves in the running; the bipartition oracle scores
+every mask.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ __all__ = ["ExactResult", "exact_full", "exact_cut", "bell_number"]
 FULL_LIMIT = 12
 CUT_LIMIT = 20
 
-# Full enumeration scores the strings that share all labels but the last
-# _FULL_TAIL at once (fewer than n**3), the bipartition oracle _CUT_CHUNK masks.
-_FULL_TAIL = 3
+# Full enumeration expands at most _FULL_ROWS strings at once at each
+# level, the bipartition oracle scores _CUT_CHUNK masks at once.
+_FULL_ROWS = 4096
 _CUT_CHUNK = 1 << 14
 
 
@@ -48,33 +52,103 @@ class ExactResult:
     enumerated: int
 
 
-def _rgs_blocks(qm: QMatrix, tail: int):
-    """All restricted-growth strings of n labels in lexicographic order, in
-    (start, codes, scores) blocks of the strings that share their first
-    n - tail labels; ``start`` numbers a block's first string."""
-    n = qm.graph.n
-    prefix, start = [0] * (n - tail), 0
-    while True:
-        codes = np.array([prefix], dtype=np.int64)
-        for _ in range(tail):
-            # each row grows by every label it allows, 0..max+1, in order
-            width = codes.max(axis=1, initial=-1) + 2
-            label = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-            codes = np.column_stack([np.repeat(codes, width, axis=0), label])
-        yield start, codes, code_scores(qm, codes)
-        start += len(codes)
-        # next prefix: grow the last label that may grow, zero those after it
-        i = n - tail - 1
-        while i > 0 and prefix[i] > max(prefix[:i]):
-            i -= 1
-        if i < 1:
-            return
-        prefix[i] += 1
-        prefix[i + 1:] = [0] * (n - tail - 1 - i)
+def _rgs_leaves(q: np.ndarray, rows: int):
+    """All restricted-growth strings of n = len(q) labels in lexicographic
+    order, with their incremental scores, in chunks of at most max(rows, n)
+    strings.
+
+    A chunk is (prefixes, parent, label, score): its string i is
+    ``prefixes[parent[i]]`` followed by ``label[i]``, so a caller builds
+    codes only for the strings it keeps. The prefixes are expanded depth
+    first, one level per vertex, and no level holds more than one chunk.
+    Vertex v adds its own row against its cluster to its parent's score,
+    q_vv + 2 * A[x_v], where A[c] sums q_vu over the u < v labelled c and a
+    new label has A = 0; the sum is the partition score up to rounding.
+    """
+    n = len(q)
+
+    def expand(codes, top, score):
+        # codes holds the first v labels of each row, top its largest label;
+        # a level keeps only these while the next is expanded
+        first = 0
+        while first < len(codes):
+            # the most parents, at least one, whose children fit in a chunk;
+            # each has a child, so no more than `rows` parents fit
+            fit = np.searchsorted(np.cumsum(top[first:first + rows] + 2), rows, "right")
+            last = first + max(1, int(fit))
+            parents = codes[first:last], top[first:last], score[first:last]
+            if codes.shape[1] + 1 == n:
+                yield _children(q, *parents)
+            else:
+                yield from expand(*_grown(q, *parents))
+            first = last
+
+    yield from expand(np.zeros((1, 0), np.int8), np.full(1, -1, np.int8), np.zeros(1))
+
+
+def _children(q, codes, top, score):
+    """(codes, parent, label, score) of the children of the rows of
+    ``codes``, the labels of vertices 0..v-1 with largest label ``top`` and
+    incremental score ``score``: child i is row ``parent[i]`` followed by
+    ``label[i]``."""
+    v = codes.shape[1]
+    # A[c] of parent p at p * (v + 1) + c, summed over u in order
+    slot = np.arange(len(codes)) * (v + 1)
+    cluster = np.bincount((slot[:, None] + codes).ravel(),
+                          np.tile(q[v, :v], len(codes)), len(codes) * (v + 1))
+    # each parent grows by every label it allows, 0..top+1, in order
+    grow = top + 2
+    parent = np.repeat(np.arange(len(codes)), grow)
+    label = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
+    child = score[parent] + q[v, v] + 2.0 * cluster[slot[parent] + label]
+    return codes, parent, label.astype(np.int8), child
+
+
+def _grown(q, codes, top, score):
+    """The children of the rows of ``codes`` as (codes, top, score)."""
+    codes, parent, label, score = _children(q, codes, top, score)
+    return np.column_stack([codes[parent], label]), np.maximum(top[parent], label), score
+
+
+def _filter_margin(q: np.ndarray) -> float:
+    """How far below the best incremental score a string's own may lie and
+    still be the first best by ``code_scores``.
+
+    Both scores add the same n**2 or fewer real terms (q_vv and 2 q_vu,
+    or q_ij times a 0/1 mask), whose magnitudes sum to at most
+    S = sum |q_ij|, only in other orders. Any order of summing N terms
+    errs by at most gamma_(N-1) * (their magnitudes' sum), with
+    gamma_N = N u / (1 - N u) and u = eps / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 4.2), so the two scores of one
+    string differ by at most 2 gamma_(n**2) S. A string whose incremental
+    score is below another's by more than 4 gamma_(n**2) S therefore has a
+    strictly smaller ``code_scores``. 8 n**2 eps S is about 4 times that at
+    n <= FULL_LIMIT, which also covers the rounding of S and of the
+    subtraction that forms the threshold.
+    """
+    return 8.0 * len(q) ** 2 * np.finfo(float).eps * float(np.abs(q).sum())
+
+
+def _rgs_blocks(qm: QMatrix, rows: int):
+    """The restricted-growth strings that may be the first best, in
+    (numbers, codes, scores) blocks for ``first_best``: each string whose
+    incremental score is at least the greatest so far less the filter
+    margin, numbered in enumeration order and re-scored by ``code_scores``.
+    The strings dropped score strictly below some other string, so the
+    first best of all and its bits survive."""
+    margin = _filter_margin(qm.entries)
+    best, count = -np.inf, 0
+    for prefixes, parent, label, score in _rgs_leaves(qm.entries, rows):
+        best = max(best, score.max())
+        keep = np.flatnonzero(score >= best - margin)
+        if keep.size:
+            codes = np.column_stack([prefixes[parent[keep]], label[keep]])
+            yield count + keep, codes, code_scores(qm, codes)
+        count += len(score)
 
 
 def _mask_blocks(qm: QMatrix):
-    """The 2**(n-1) bipartitions in (start, codes, scores) blocks of
+    """The 2**(n-1) bipartitions in (numbers, codes, scores) blocks of
     ``_CUT_CHUNK`` masks, bit v of a mask giving vertex v's side. Masks stay
     below 2**(n-1): vertex n-1 is on side 0, and each appears once."""
     n_masks = 1 << (qm.graph.n - 1)
@@ -82,7 +156,7 @@ def _mask_blocks(qm: QMatrix):
     for start in range(0, n_masks, _CUT_CHUNK):
         masks = np.arange(start, min(start + _CUT_CHUNK, n_masks))
         codes = (masks[:, None] >> bits) & 1
-        yield start, codes, code_scores(qm, codes)
+        yield masks, codes, code_scores(qm, codes)
 
 
 def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
@@ -95,7 +169,7 @@ def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
             f"n={n} exceeds the enumeration limit {limit} "
             f"(Bell({n}) = {bell_number(n)} partitions)"
         )
-    _, codes, score = first_best(_rgs_blocks(qm, min(_FULL_TAIL, n)))
+    _, codes, score = first_best(_rgs_blocks(qm, _FULL_ROWS))
     return ExactResult(score, Partition.from_labels(codes), bell_number(n))
 
 

@@ -164,14 +164,15 @@ def code_scores(qm: QMatrix, codes: np.ndarray) -> np.ndarray:
 
 def first_best(blocks) -> tuple[int, np.ndarray, float]:
     """(number, codes, score) of the first row with the greatest score in
-    ``blocks`` of (start, codes, scores), ``start`` numbering a block's
-    first row. The one search behind every best partition of the package."""
+    ``blocks`` of (numbers, codes, scores), ``numbers`` giving each row's
+    place in the search order, rising within and across blocks. The one
+    search behind every best partition of the package."""
     best = None
-    for start, codes, scores in blocks:
+    for numbers, codes, scores in blocks:
         # argmax keeps a block's first top score; a later block must beat it
         i = int(np.argmax(scores))
         if best is None or scores[i] > best[2]:
-            best = (start + i, codes[i].copy(), float(scores[i]))
+            best = (int(numbers[i]), codes[i].copy(), float(scores[i]))
     return best
 
 

@@ -11,7 +11,7 @@ and residuals, read from ``SdpSolution.history``, play no part.
 
 Trial randomness comes from counter-derived streams: trial t of master
 seed s draws from the Philox stream with key s and counter (0, 0, 0, t).
-Best-of-trials runs score the trials in fixed-size blocks, and since each
+Best-of-trials runs score the trials in blocks sized by n, and since each
 trial's draws depend only on (s, t), the outcome does not depend on the
 block size.
 """
@@ -45,10 +45,12 @@ CUT_ERROR_BUDGET = 0.16598
 # representable crossing, so exact ties do occur.
 _TIE_TOL = 1e-12
 
-# Best-of-trials rounding scores this many trials at once. A block's
-# same-cluster mask takes _TRIAL_BLOCK * n**2 bytes (1.3 MiB at n = 72), so
-# memory does not grow with the trial count.
+# Best-of-trials rounding scores _TRIAL_BLOCK trials at once, or as many as
+# keep a block's same-cluster mask, one byte per vertex pair and trial,
+# within _TRIAL_BYTES, and at least one: all 256 up to n = 181, 5 at
+# n = 1200. So memory grows with neither the trial count nor trials * n**2.
 _TRIAL_BLOCK = 256
+_TRIAL_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,11 @@ def hyperplane_round(
 
 def _trial_blocks(qm, vectors, k, trials, seed):
     """Round trials 0..trials-1 as ``hyperplane_round(qm, vectors, k, seed,
-    trial)`` would, in blocks of at most ``_TRIAL_BLOCK``.
+    trial)`` would, in blocks of at most ``_TRIAL_BLOCK`` and at most
+    ``_TRIAL_BYTES`` of same-cluster mask.
 
-    Yields each block's first trial, its cluster codes (one row per trial,
-    one integer per vertex; equal codes share a cluster) and their
+    Yields each block's trial numbers, its cluster codes (one row per
+    trial, one integer per vertex; equal codes share a cluster) and their
     ``code_scores``, the same bits as each trial's ``hyperplane_round``
     score.
     """
@@ -153,8 +156,9 @@ def _trial_blocks(qm, vectors, k, trials, seed):
     state = bitgen.state
     counter = state["state"]["counter"]
     bits = 1 << np.arange(k)
-    for start in range(0, trials, _TRIAL_BLOCK):
-        size = min(_TRIAL_BLOCK, trials - start)
+    block = max(1, min(_TRIAL_BLOCK, _TRIAL_BYTES // qm.graph.n ** 2))
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
         dirs = np.empty((size, k, vectors.shape[1]))
         for i in range(size):
             counter[3] = start + i
@@ -164,7 +168,7 @@ def _trial_blocks(qm, vectors, k, trials, seed):
         signs = (vectors @ dirs.transpose(0, 2, 1)) >= 0.0
         # a vertex's k sign bits as one integer: its cluster code
         codes = signs @ bits
-        yield start, codes, code_scores(qm, codes)
+        yield np.arange(start, start + size), codes, code_scores(qm, codes)
 
 
 def _best_of_trials(qm, vectors, k, trials, seed):

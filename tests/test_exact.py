@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modkit import (
+    Graph,
     build_q,
     exact_cut,
     exact_full,
@@ -12,7 +13,8 @@ from modkit import (
     solve_full_sdp,
 )
 from modkit import exact
-from modkit.exact import _mask_blocks, _rgs_blocks, bell_number
+from modkit.exact import _filter_margin, _mask_blocks, _rgs_blocks, _rgs_leaves, bell_number
+from modkit.modularity import code_scores
 
 import fixtures
 
@@ -154,16 +156,26 @@ class TestAgainstPlainEnumeration:
         for n in range(2, 8):
             qm = build_q(fixtures.path_graph(n))
             want = _set_partitions(n)
-            for tail in range(1, n + 1):
-                blocks = list(_rgs_blocks(qm, tail))
-                assert [start for start, _, _ in blocks] == list(
-                    np.cumsum([0] + [len(c) for _, c, _ in blocks[:-1]]))
-                rows = np.concatenate([codes for _, codes, _ in blocks]).tolist()
-                assert rows == want, (n, tail)
+            for budget in (1, 3, bell_number(n) + 1):
+                # before the filter: every string once, in order, in chunks
+                # of at most max(budget, n)
+                chunks = list(_rgs_leaves(qm.entries, budget))
+                assert all(len(label) <= max(budget, n) for _, _, label, _ in chunks)
+                rows = np.concatenate([np.column_stack([prefixes[parent], label])
+                                       for prefixes, parent, label, _ in chunks]).tolist()
+                assert rows == want, (n, budget)
+                # after it: rows numbered by their place in that order
+                numbers = np.concatenate([k for k, _, _ in _rgs_blocks(qm, budget)])
+                assert (np.diff(numbers) > 0).all(), (n, budget)
+                for k, codes, _ in _rgs_blocks(qm, budget):
+                    assert codes.tolist() == [want[i] for i in k], (n, budget)
             for chunk in (1, 3, 2 ** n):
                 monkeypatch.setattr(exact, "_CUT_CHUNK", chunk)
-                rows = np.concatenate([c for _, c, _ in _mask_blocks(qm)]).tolist()
+                blocks = list(_mask_blocks(qm))
+                rows = np.concatenate([c for _, c, _ in blocks]).tolist()
                 assert rows == _bipartitions(n), (n, chunk)
+                numbers = np.concatenate([k for k, _, _ in blocks])
+                assert numbers.tolist() == list(range(2 ** (n - 1))), (n, chunk)
 
 
 class TestBlockSizeInvariance:
@@ -174,10 +186,49 @@ class TestBlockSizeInvariance:
                 for name, g in graphs}
         for name, g in graphs:
             block = 1 if size == "one" else g.n
-            monkeypatch.setattr(exact, "_FULL_TAIL", block)
+            monkeypatch.setattr(exact, "_FULL_ROWS", block)
             monkeypatch.setattr(exact, "_CUT_CHUNK", block)
             got = (exact_full(build_q(g)), exact_cut(build_q(g)))
             assert got == want[name], name
+
+
+class TestIncrementalFilter:
+    """Full enumeration sums each string's score vertex by vertex and
+    re-scores with ``code_scores`` only the strings within the filter
+    margin of the best sum so far."""
+
+    def test_incremental_scores_within_half_the_margin(self):
+        graphs = _small_graphs(8) + [("w10", fixtures.planted_weighted(10, 2, seed=5))]
+        for name, g in graphs:
+            qm = build_q(g)
+            half = _filter_margin(qm.entries) / 2
+            for prefixes, parent, label, score in _rgs_leaves(qm.entries, 4096):
+                codes = np.column_stack([prefixes[parent], label])
+                assert np.abs(score - code_scores(qm, codes)).max() <= half, name
+
+    @pytest.mark.parametrize("graph", [
+        fixtures.cycle_graph(8),
+        Graph(n=8, edges=tuple((i + s, j + s, 1.0) for s in (0, 4)
+                               for i in range(4) for j in range(i + 1, 4)),
+              variant="undirected"),
+        Graph(n=6, edges=tuple((i, j, 1.0) for i in range(3) for j in range(3, 6)),
+              variant="undirected"),
+    ], ids=["c8", "two_k4", "k33"])
+    def test_ties_keep_the_first_best_string(self, graph, monkeypatch):
+        # C8 and K3,3 tie at the top (8 and 15 strings with the same bits);
+        # on the two cliques the filter passes 7 strings at a budget of 1
+        qm = build_q(graph)
+        rows = _set_partitions(graph.n)
+        scores = code_scores(qm, np.array(rows))
+        first = int(np.argmax(scores))
+        ties = int((scores == scores[first]).sum())
+        for budget in (1, exact._FULL_ROWS):
+            monkeypatch.setattr(exact, "_FULL_ROWS", budget)
+            res = exact_full(qm)
+            assert res.opt_partition.assign == tuple(rows[first]), budget
+            assert res.opt_value == scores[first], budget
+            kept = sum(len(k) for k, _, _ in _rgs_blocks(qm, budget))
+            assert kept >= ties, budget
 
 
 def test_rounding_at_the_optimum_reports_its_bits():

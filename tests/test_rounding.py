@@ -16,6 +16,7 @@ from modkit import (
     solve_cut_sdp,
     solve_full_sdp,
 )
+from modkit import rounding
 from modkit.rounding import _TRIAL_BLOCK, _best_of_trials, _trial_blocks
 
 import fixtures
@@ -267,7 +268,8 @@ class TestBatchedMatchesPerTrial:
         trials = _TRIAL_BLOCK + 44
         for k in (1, 2, 3, 4):
             blocks = list(_trial_blocks(qm, vectors, k, trials, seed=5))
-            assert [start for start, _, _ in blocks] == [0, _TRIAL_BLOCK]
+            assert [numbers.tolist() for numbers, _, _ in blocks] == [
+                list(range(_TRIAL_BLOCK)), list(range(_TRIAL_BLOCK, trials))]
             codes = np.concatenate([c for _, c, _ in blocks])
             scores = np.concatenate([s for _, _, s in blocks])
             assert codes.shape == (trials, qm.graph.n)
@@ -276,6 +278,20 @@ class TestBatchedMatchesPerTrial:
                 assert Partition.from_labels(codes[t]) == want.partition
                 # one scorer: the same bits in a block as for one trial
                 assert scores[t] == want.score
+
+    def test_byte_budget_sizes_the_blocks(self, monkeypatch):
+        # a block's mask may take _TRIAL_BYTES, one byte per vertex pair
+        # and trial, with at least one trial per block
+        qm, _, vectors = _relaxed("petersen", "full")
+        pairs = qm.graph.n ** 2
+        want = {k: _best_of_trials(qm, vectors, k, 300, seed=5) for k in (1, 3)}
+        for budget, size in ((1, 1), (7 * pairs + 1, 7), (10**9, _TRIAL_BLOCK)):
+            monkeypatch.setattr(rounding, "_TRIAL_BYTES", budget)
+            for k in (1, 3):
+                blocks = list(_trial_blocks(qm, vectors, k, 300, seed=5))
+                sizes = [len(numbers) for numbers, _, _ in blocks]
+                assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
+                _same_outcome(_best_of_trials(qm, vectors, k, 300, seed=5), want[k])
 
     def test_winners_past_the_first_block(self):
         qm, _, vectors = _relaxed("petersen", "full")
