@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds
 from .exact import CUT_LIMIT, FULL_LIMIT, exact_cut, exact_full
-from .graph import GraphFormatError, parse_edge_list
+from .graph import VARIANTS, GraphFormatError, parse_edge_list
 from .modularity import build_q
 from .rounding import round_cut, round_full
 from .sdp import SolverOptions, solve_cut_sdp, solve_full_sdp
@@ -251,11 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_args(p, with_rounding: bool):
         p.add_argument("--input", required=True, help="edge-list file")
-        p.add_argument(
-            "--variant",
-            default="undirected",
-            choices=["undirected", "weighted", "directed", "bipartite"],
-        )
+        p.add_argument("--variant", default="undirected", choices=VARIANTS)
         p.add_argument("--output", default=None, help="report path (default stdout)")
         if with_rounding:
             p.add_argument("--trials", type=int, default=200)

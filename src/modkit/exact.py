@@ -1,14 +1,13 @@
 """Brute-force oracles: exact optima over all partitions and bipartitions.
 
-They certify the relaxation and rounding at desk scale. Both keep the
-first best row of cluster codes scored by ``code_scores`` with
-``first_best``, as rounding does: full enumeration in the lexicographic
-order of restricted-growth strings (vertex v may open at most one new
-cluster), the bipartition oracle in mask order. Full enumeration first
-sums each string's score vertex by vertex from its prefix's, and scores
-with ``code_scores`` only the strings that this sum, up to a rigorous
-rounding margin, leaves in the running; the bipartition oracle scores
-every mask.
+They certify the relaxation and rounding at desk scale. Both enumerate
+restricted-growth strings (vertex v may open at most one new cluster) in
+lexicographic order, with at most n labels for partitions and 2, over the
+reversed vertex order, for bipartitions. Each string's score is first
+summed vertex by vertex from its prefix's; only the strings that this
+sum, up to a rigorous rounding margin, leaves in the running are scored
+with ``code_scores``, and ``first_best`` keeps the first best of those,
+as rounding does.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ __all__ = ["ExactResult", "exact_full", "exact_cut", "bell_number"]
 FULL_LIMIT = 12
 CUT_LIMIT = 20
 
-# Full enumeration expands at most _FULL_ROWS strings at once at each
-# level, the bipartition oracle scores _CUT_CHUNK masks at once.
-_FULL_ROWS = 4096
-_CUT_CHUNK = 1 << 14
+# Both oracles expand at most _ROWS strings at once at each level.
+_ROWS = 4096
 
 
 def bell_number(n: int) -> int:
@@ -52,10 +49,10 @@ class ExactResult:
     enumerated: int
 
 
-def _rgs_leaves(q: np.ndarray, rows: int):
-    """All restricted-growth strings of n = len(q) labels in lexicographic
-    order, with their incremental scores, in chunks of at most max(rows, n)
-    strings.
+def _rgs_leaves(q: np.ndarray, rows: int, labels: int):
+    """All restricted-growth strings of length n = len(q) with at most
+    ``labels`` labels, in lexicographic order, with their incremental
+    scores, in chunks of at most max(rows, n) strings.
 
     A chunk is (prefixes, parent, label, score): its string i is
     ``prefixes[parent[i]]`` followed by ``label[i]``, so a caller builds
@@ -74,39 +71,40 @@ def _rgs_leaves(q: np.ndarray, rows: int):
         while first < len(codes):
             # the most parents, at least one, whose children fit in a chunk;
             # each has a child, so no more than `rows` parents fit
-            fit = np.searchsorted(np.cumsum(top[first:first + rows] + 2), rows, "right")
+            grow = np.minimum(top[first:first + rows] + 2, labels)
+            fit = np.searchsorted(np.cumsum(grow), rows, "right")
             last = first + max(1, int(fit))
             parents = codes[first:last], top[first:last], score[first:last]
             if codes.shape[1] + 1 == n:
-                yield _children(q, *parents)
+                yield _children(q, *parents, labels)
             else:
-                yield from expand(*_grown(q, *parents))
+                yield from expand(*_grown(q, *parents, labels))
             first = last
 
     yield from expand(np.zeros((1, 0), np.int8), np.full(1, -1, np.int8), np.zeros(1))
 
 
-def _children(q, codes, top, score):
+def _children(q, codes, top, score, labels):
     """(codes, parent, label, score) of the children of the rows of
     ``codes``, the labels of vertices 0..v-1 with largest label ``top`` and
     incremental score ``score``: child i is row ``parent[i]`` followed by
-    ``label[i]``."""
+    ``label[i]``, one of 0..top+1 below ``labels``."""
     v = codes.shape[1]
     # A[c] of parent p at p * (v + 1) + c, summed over u in order
     slot = np.arange(len(codes)) * (v + 1)
     cluster = np.bincount((slot[:, None] + codes).ravel(),
                           np.tile(q[v, :v], len(codes)), len(codes) * (v + 1))
-    # each parent grows by every label it allows, 0..top+1, in order
-    grow = top + 2
+    # each parent grows by every label it allows, in order
+    grow = np.minimum(top + 2, labels)
     parent = np.repeat(np.arange(len(codes)), grow)
     label = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
     child = score[parent] + q[v, v] + 2.0 * cluster[slot[parent] + label]
     return codes, parent, label.astype(np.int8), child
 
 
-def _grown(q, codes, top, score):
+def _grown(q, codes, top, score, labels):
     """The children of the rows of ``codes`` as (codes, top, score)."""
-    codes, parent, label, score = _children(q, codes, top, score)
+    codes, parent, label, score = _children(q, codes, top, score, labels)
     return np.column_stack([codes[parent], label]), np.maximum(top[parent], label), score
 
 
@@ -122,41 +120,35 @@ def _filter_margin(q: np.ndarray) -> float:
     Stability of Numerical Algorithms, sec. 4.2), so the two scores of one
     string differ by at most 2 gamma_(n**2) S. A string whose incremental
     score is below another's by more than 4 gamma_(n**2) S therefore has a
-    strictly smaller ``code_scores``. 8 n**2 eps S is about 4 times that at
-    n <= FULL_LIMIT, which also covers the rounding of S and of the
-    subtraction that forms the threshold.
+    strictly smaller ``code_scores``. At n <= CUT_LIMIT, n**2 u is below
+    5e-14, so 8 n**2 eps S is about 4 times that, which also covers the
+    rounding of S and of the subtraction that forms the threshold.
     """
     return 8.0 * len(q) ** 2 * np.finfo(float).eps * float(np.abs(q).sum())
 
 
-def _rgs_blocks(qm: QMatrix, rows: int):
-    """The restricted-growth strings that may be the first best, in
-    (numbers, codes, scores) blocks for ``first_best``: each string whose
-    incremental score is at least the greatest so far less the filter
-    margin, numbered in enumeration order and re-scored by ``code_scores``.
-    The strings dropped score strictly below some other string, so the
-    first best of all and its bits survive."""
-    margin = _filter_margin(qm.entries)
+def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int):
+    """The restricted-growth strings of at most ``labels`` labels that may
+    be the first best, in (numbers, codes, scores) blocks for
+    ``first_best``: each string whose incremental score is at least the
+    greatest so far less the filter margin, numbered in enumeration order
+    and re-scored by ``code_scores``. The strings dropped score strictly
+    below some other string, so the first best of all and its bits survive.
+
+    The strings run over the vertices in order for ``step`` 1 and in
+    reverse for -1. Codes come back in vertex order and are scored against
+    ``qm`` itself: an einsum over the reversed matrix can round otherwise.
+    """
+    q = qm.entries[::step, ::step]
+    margin = _filter_margin(q)
     best, count = -np.inf, 0
-    for prefixes, parent, label, score in _rgs_leaves(qm.entries, rows):
+    for prefixes, parent, label, score in _rgs_leaves(q, rows, labels):
         best = max(best, score.max())
         keep = np.flatnonzero(score >= best - margin)
         if keep.size:
-            codes = np.column_stack([prefixes[parent[keep]], label[keep]])
+            codes = np.column_stack([prefixes[parent[keep]], label[keep]])[:, ::step]
             yield count + keep, codes, code_scores(qm, codes)
         count += len(score)
-
-
-def _mask_blocks(qm: QMatrix):
-    """The 2**(n-1) bipartitions in (numbers, codes, scores) blocks of
-    ``_CUT_CHUNK`` masks, bit v of a mask giving vertex v's side. Masks stay
-    below 2**(n-1): vertex n-1 is on side 0, and each appears once."""
-    n_masks = 1 << (qm.graph.n - 1)
-    bits = np.arange(qm.graph.n)
-    for start in range(0, n_masks, _CUT_CHUNK):
-        masks = np.arange(start, min(start + _CUT_CHUNK, n_masks))
-        codes = (masks[:, None] >> bits) & 1
-        yield masks, codes, code_scores(qm, codes)
 
 
 def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
@@ -169,18 +161,20 @@ def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
             f"n={n} exceeds the enumeration limit {limit} "
             f"(Bell({n}) = {bell_number(n)} partitions)"
         )
-    _, codes, score = first_best(_rgs_blocks(qm, _FULL_ROWS))
+    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, n, 1))
     return ExactResult(score, Partition.from_labels(codes), bell_number(n))
 
 
 def exact_cut(qm: QMatrix, limit: int = CUT_LIMIT) -> ExactResult:
     """Maximize the partition score over all 2**(n-1) unordered
-    bipartitions, the single-cluster split included."""
+    bipartitions, the single-cluster split included. Two-label strings
+    over the reversed vertex order put vertex n-1 on side 0 and come in
+    mask order, bit v of a string's place giving vertex v's side."""
     n = qm.graph.n
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the enumeration limit {limit} "
             f"(2**{n - 1} = {2 ** (n - 1)} bipartitions)"
         )
-    _, codes, score = first_best(_mask_blocks(qm))
+    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, 2, -1))
     return ExactResult(score, Partition.from_labels(codes), 1 << (n - 1))

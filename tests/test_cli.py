@@ -500,3 +500,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_unknown_variant(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--variant", "bogus", "--input", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "modkit solve: error: argument --variant: invalid choice: 'bogus' "
+            "(choose from 'undirected', 'weighted', 'directed', 'bipartite')")

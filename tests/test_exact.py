@@ -13,8 +13,8 @@ from modkit import (
     solve_full_sdp,
 )
 from modkit import exact
-from modkit.exact import _filter_margin, _mask_blocks, _rgs_blocks, _rgs_leaves, bell_number
-from modkit.modularity import code_scores
+from modkit.exact import _filter_margin, _rgs_blocks, _rgs_leaves, bell_number
+from modkit.modularity import Partition, code_scores
 
 import fixtures
 
@@ -37,6 +37,11 @@ def _score(q, labels):
     """The partition score summed pair by pair, without the package."""
     n = len(labels)
     return sum(q[i][j] for i in range(n) for j in range(n) if labels[i] == labels[j])
+
+
+def _complete_bipartite(a, b):
+    return Graph(n=a + b, edges=tuple((i, j, 1.0) for i in range(a) for j in range(a, a + b)),
+                 variant="undirected")
 
 
 def _small_graphs(max_n):
@@ -152,30 +157,29 @@ class TestAgainstPlainEnumeration:
             assert abs(_score(q, res.opt_partition.assign) - want) <= 1e-12, name
             assert res.enumerated == len(rows) == count(g.n), name
 
-    def test_blocks_list_every_candidate_in_order(self, monkeypatch):
+    def test_blocks_list_every_candidate_in_order(self):
         for n in range(2, 8):
             qm = build_q(fixtures.path_graph(n))
-            want = _set_partitions(n)
-            for budget in (1, 3, bell_number(n) + 1):
-                # before the filter: every string once, in order, in chunks
-                # of at most max(budget, n)
-                chunks = list(_rgs_leaves(qm.entries, budget))
-                assert all(len(label) <= max(budget, n) for _, _, label, _ in chunks)
-                rows = np.concatenate([np.column_stack([prefixes[parent], label])
-                                       for prefixes, parent, label, _ in chunks]).tolist()
-                assert rows == want, (n, budget)
-                # after it: rows numbered by their place in that order
-                numbers = np.concatenate([k for k, _, _ in _rgs_blocks(qm, budget)])
-                assert (np.diff(numbers) > 0).all(), (n, budget)
-                for k, codes, _ in _rgs_blocks(qm, budget):
-                    assert codes.tolist() == [want[i] for i in k], (n, budget)
-            for chunk in (1, 3, 2 ** n):
-                monkeypatch.setattr(exact, "_CUT_CHUNK", chunk)
-                blocks = list(_mask_blocks(qm))
-                rows = np.concatenate([c for _, c, _ in blocks]).tolist()
-                assert rows == _bipartitions(n), (n, chunk)
-                numbers = np.concatenate([k for k, _, _ in blocks])
-                assert numbers.tolist() == list(range(2 ** (n - 1))), (n, chunk)
+            # full: all labels over the vertices in order; cut: two labels
+            # over the reversed order, so that a string's place is its mask
+            for labels, step, want, budgets in (
+                (n, 1, _set_partitions(n), (1, 3, bell_number(n) + 1)),
+                (2, -1, _bipartitions(n), (1, 3, 2 ** n)),
+            ):
+                for budget in budgets:
+                    # before the filter: every string once, in order, in
+                    # chunks of at most max(budget, n)
+                    chunks = list(_rgs_leaves(qm.entries[::step, ::step], budget, labels))
+                    assert all(len(label) <= max(budget, n) for _, _, label, _ in chunks)
+                    rows = np.concatenate([np.column_stack([prefixes[parent], label])
+                                           for prefixes, parent, label, _ in chunks])
+                    assert rows[:, ::step].tolist() == want, (n, labels, budget)
+                    # after it: rows numbered by their place in that order
+                    blocks = list(_rgs_blocks(qm, budget, labels, step))
+                    numbers = np.concatenate([k for k, _, _ in blocks])
+                    assert (np.diff(numbers) > 0).all(), (n, labels, budget)
+                    for k, codes, _ in blocks:
+                        assert codes.tolist() == [want[i] for i in k], (n, labels, budget)
 
 
 class TestBlockSizeInvariance:
@@ -186,48 +190,58 @@ class TestBlockSizeInvariance:
                 for name, g in graphs}
         for name, g in graphs:
             block = 1 if size == "one" else g.n
-            monkeypatch.setattr(exact, "_FULL_ROWS", block)
-            monkeypatch.setattr(exact, "_CUT_CHUNK", block)
+            monkeypatch.setattr(exact, "_ROWS", block)
             got = (exact_full(build_q(g)), exact_cut(build_q(g)))
             assert got == want[name], name
 
 
 class TestIncrementalFilter:
-    """Full enumeration sums each string's score vertex by vertex and
-    re-scores with ``code_scores`` only the strings within the filter
-    margin of the best sum so far."""
+    """Both oracles sum each string's score vertex by vertex and re-score
+    with ``code_scores`` only the strings within the filter margin of the
+    best sum so far."""
 
     def test_incremental_scores_within_half_the_margin(self):
         graphs = _small_graphs(8) + [("w10", fixtures.planted_weighted(10, 2, seed=5))]
-        for name, g in graphs:
+        cases = [(name, g, labels, step) for name, g in graphs
+                 for labels, step in ((g.n, 1), (2, -1))]
+        cases.append(("w16", fixtures.planted_weighted(16, 2, seed=5), 2, -1))
+        for name, g, labels, step in cases:
             qm = build_q(g)
             half = _filter_margin(qm.entries) / 2
-            for prefixes, parent, label, score in _rgs_leaves(qm.entries, 4096):
-                codes = np.column_stack([prefixes[parent], label])
-                assert np.abs(score - code_scores(qm, codes)).max() <= half, name
+            for prefixes, parent, label, score in _rgs_leaves(
+                    qm.entries[::step, ::step], 4096, labels):
+                codes = np.column_stack([prefixes[parent], label])[:, ::step]
+                assert np.abs(score - code_scores(qm, codes)).max() <= half, (name, labels)
 
-    @pytest.mark.parametrize("graph", [
-        fixtures.cycle_graph(8),
-        Graph(n=8, edges=tuple((i + s, j + s, 1.0) for s in (0, 4)
-                               for i in range(4) for j in range(i + 1, 4)),
-              variant="undirected"),
-        Graph(n=6, edges=tuple((i, j, 1.0) for i in range(3) for j in range(3, 6)),
-              variant="undirected"),
-    ], ids=["c8", "two_k4", "k33"])
-    def test_ties_keep_the_first_best_string(self, graph, monkeypatch):
+    @pytest.mark.parametrize("oracle, graph", [
+        ("full", fixtures.cycle_graph(8)),
+        ("full", Graph(n=8, edges=tuple((i + s, j + s, 1.0) for s in (0, 4)
+                                        for i in range(4) for j in range(i + 1, 4)),
+                       variant="undirected")),
+        ("full", _complete_bipartite(3, 3)),
+        ("cut", fixtures.cycle_graph(8)),
+        ("cut", _complete_bipartite(3, 3)),
+        ("cut", _complete_bipartite(4, 4)),
+    ], ids=["c8", "two_k4", "k33", "cut_c8", "cut_k33", "cut_k44"])
+    def test_ties_keep_the_first_best_string(self, oracle, graph, monkeypatch):
         # C8 and K3,3 tie at the top (8 and 15 strings with the same bits);
-        # on the two cliques the filter passes 7 strings at a budget of 1
+        # on the two cliques the filter passes 7 strings at a budget of 1.
+        # Among bipartitions C8, K3,3 and K4,4 tie 4, 9 and 35 ways; on K3,3
+        # the first in mask order is not the first over the vertices in order
         qm = build_q(graph)
-        rows = _set_partitions(graph.n)
+        search, rows, labels, step = {
+            "full": (exact_full, _set_partitions(graph.n), graph.n, 1),
+            "cut": (exact_cut, _bipartitions(graph.n), 2, -1),
+        }[oracle]
         scores = code_scores(qm, np.array(rows))
         first = int(np.argmax(scores))
         ties = int((scores == scores[first]).sum())
-        for budget in (1, exact._FULL_ROWS):
-            monkeypatch.setattr(exact, "_FULL_ROWS", budget)
-            res = exact_full(qm)
-            assert res.opt_partition.assign == tuple(rows[first]), budget
+        for budget in (1, exact._ROWS):
+            monkeypatch.setattr(exact, "_ROWS", budget)
+            res = search(qm)
+            assert res.opt_partition == Partition.from_labels(rows[first]), budget
             assert res.opt_value == scores[first], budget
-            kept = sum(len(k) for k, _, _ in _rgs_blocks(qm, budget))
+            kept = sum(len(k) for k, _, _ in _rgs_blocks(qm, budget, labels, step))
             assert kept >= ties, budget
 
 
