@@ -9,11 +9,15 @@ so that the guaranteed expectation floor is as high as possible. The
 rounding reads the solution's factor and figures only; its iteration count
 and residuals, read from ``SdpSolution.history``, play no part.
 
-Trial randomness comes from counter-derived streams: trial t of master
-seed s draws from the Philox stream with key s and counter (0, 0, 0, t).
-Best-of-trials runs score the trials in blocks sized by n, and since each
-trial's draws depend only on (s, t), the outcome does not depend on the
-block size.
+Trial randomness comes from counter-derived streams, one per block of
+``_TRIAL_BLOCK`` = 256 trials: trial t of master seed s takes row t mod 256
+of the (256, k, r) standard-normal array, r the factor's column count, that
+the Philox stream with key s and counter (0, 0, 0, floor(t / 256)) draws.
+A draw of fewer rows gives the first rows of that array, bit for bit, so
+a partial block draws only the rows it needs. Best-of-trials runs make one
+draw per 256 trials and score the trials in blocks sized by n, which may
+straddle two draws; since each trial's draws depend only on (s, t), the
+outcome does not depend on the scoring block size.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ CUT_ERROR_BUDGET = 0.16598
 # representable crossing, so exact ties do occur.
 _TIE_TOL = 1e-12
 
-# Best-of-trials rounding scores _TRIAL_BLOCK trials at once, or as many as
-# keep a block's same-cluster mask, one byte per vertex pair and trial,
-# within _TRIAL_BYTES, and at least one: all 256 up to n = 181, 5 at
+# Trials draw their directions _TRIAL_BLOCK at a time, one Philox stream per
+# block. Best-of-trials rounding scores _TRIAL_BLOCK trials at once, or as
+# many as keep a block's same-cluster mask, one byte per vertex pair and
+# trial, within _TRIAL_BYTES, and at least one: all 256 up to n = 181, 5 at
 # n = 1200. So memory grows with neither the trial count nor trials * n**2.
 _TRIAL_BLOCK = 256
 _TRIAL_BYTES = 8 << 20
@@ -94,9 +99,20 @@ class GuaranteeReport:
     seed: int
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Counter-based stream: independent per trial, reproducible per seed.
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, trial]))
+def _trial_rng(seed: int, block: int) -> np.random.Generator:
+    # Counter-based stream of trials block * _TRIAL_BLOCK onwards: independent
+    # per block, reproducible per seed, each trial one row of its draw. A
+    # plain list would pass a block of 2**63 or more through float64.
+    counter = np.array([0, 0, 0, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def _trial_draws(seed: int, k: int, width: int, trials: int):
+    """The directions of trials 0..trials-1, as one (rows, k, width) draw per
+    block of ``_TRIAL_BLOCK`` trials; the last block draws only its rows."""
+    for block, start in enumerate(range(0, trials, _TRIAL_BLOCK)):
+        rows = min(_TRIAL_BLOCK, trials - start)
+        yield _trial_rng(seed, block).standard_normal((rows, k, width))
 
 
 def gram_vectors(sol: SdpSolution) -> np.ndarray:
@@ -121,21 +137,31 @@ def hyperplane_round(
     """Cut the vertex vectors, the rows of ``vectors``, with k independent
     random hyperplanes.
 
-    Vertices sharing the sign pattern of all k projections share a
-    cluster; a zero projection counts as positive. The pattern, read as k
-    bits, is a vertex's cluster code; codes are compacted to contiguous ids
-    and the partition scored against ``qm``.
+    The k directions are row t mod 256 of trial t's block draw: the first
+    t mod 256 + 1 rows of ``(256, k, r)`` standard normals from the Philox
+    stream with key ``seed`` and counter (0, 0, 0, t // 256). Vertices
+    sharing the sign pattern of all k projections share a cluster; a zero
+    projection counts as positive. The pattern, read as k bits, is a
+    vertex's cluster code; codes are compacted to contiguous ids and the
+    partition scored against ``qm``. ``trial`` must be an int from 0 to
+    2**72 - 1, so that its block index fits the counter's 64-bit word.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    rng = _trial_rng(seed, trial)
-    dirs = rng.standard_normal((k, vectors.shape[1]))
+    if isinstance(trial, (bool, np.bool_)) or not isinstance(trial, (int, np.integer)):
+        raise TypeError(f"trial must be an int, not {type(trial).__name__}")
+    if trial < 0:
+        raise ValueError(f"trial must be nonnegative, got {trial}")
+    block, row = divmod(int(trial), _TRIAL_BLOCK)
+    if block >= 1 << 64:
+        raise ValueError(f"trial {trial} is past the last block of trials")
+    dirs = _trial_rng(seed, block).standard_normal((row + 1, k, vectors.shape[1]))[row]
     codes = ((vectors @ dirs.T) >= 0.0) @ (1 << np.arange(k))
     return RoundingOutcome(
         partition=Partition.from_labels(codes),
         score=float(code_scores(qm, codes[None])[0]),
         k_used=k,
-        trial_seed=(seed, trial),
+        trial_seed=(seed, int(trial)),
     )
 
 
@@ -147,23 +173,19 @@ def _trial_blocks(qm, vectors, k, trials, seed):
     Yields each block's trial numbers, its cluster codes (one row per
     trial, one integer per vertex; equal codes share a cluster) and their
     ``code_scores``, the same bits as each trial's ``hyperplane_round``
-    score.
+    score. The directions come from one draw per ``_TRIAL_BLOCK`` trials,
+    and a scoring block may straddle two draws.
     """
-    # One generator, reset to trial t's counter with an empty buffer, draws
-    # what _trial_rng(seed, t) would, without building a generator per trial.
-    bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    counter = state["state"]["counter"]
+    draws = _trial_draws(seed, k, vectors.shape[1], trials)
+    left = np.empty((0, k, vectors.shape[1]))  # drawn, not yet scored
     bits = 1 << np.arange(k)
     block = max(1, min(_TRIAL_BLOCK, _TRIAL_BYTES // qm.graph.n ** 2))
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        dirs = np.empty((size, k, vectors.shape[1]))
-        for i in range(size):
-            counter[3] = start + i
-            bitgen.state = state
-            gen.standard_normal(out=dirs[i])
+        if len(left) < size:
+            # block <= _TRIAL_BLOCK, so the next draw covers the rest
+            left = np.concatenate([left, next(draws)])
+        dirs, left = left[:size], left[size:]
         # one matrix product per trial, the same one hyperplane_round makes
         signs = (vectors @ dirs.transpose(0, 2, 1)) >= 0.0
         # a vertex's k sign bits as one integer: its cluster code

@@ -170,7 +170,7 @@ class SdpSolution:
 def _box_project(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The nearest nonnegative matrix with unit diagonal, written to ``out``
     when given."""
-    out = np.clip(mat, 0.0, None, out=out)
+    out = np.maximum(mat, 0.0, out=out)
     np.fill_diagonal(out, 1.0)
     return out
 
@@ -411,7 +411,7 @@ def _mixing_sweep(c: np.ndarray, v: np.ndarray, nonneg: bool) -> None:
     for i in range(c.shape[0]):
         g = c[i] @ v - c[i, i] * v[i]
         if nonneg:
-            np.clip(g, 0.0, None, out=g)
+            np.maximum(g, 0.0, out=g)
         norm = math.sqrt(g @ g)
         if norm > 0.0:
             v[i] = g / norm

@@ -81,6 +81,26 @@ class TestHyperplaneRound:
         with pytest.raises(ValueError):
             hyperplane_round(qm, vectors, 0, seed=0)
 
+    def test_rejects_bad_trial(self):
+        qm = build_q(fixtures.k2())
+        vectors = np.ones((2, 1))
+        for trial in (True, 1.5, "3", None):
+            with pytest.raises(TypeError):
+                hyperplane_round(qm, vectors, 1, seed=0, trial=trial)
+        # the last trial of block 2**64 - 1 is the last one there is
+        last = (1 << 64) * _TRIAL_BLOCK - 1
+        assert hyperplane_round(qm, vectors, 1, 0, trial=last).trial_seed == (0, last)
+        for trial in (-1, last + 1, 2**80):
+            with pytest.raises(ValueError):
+                hyperplane_round(qm, vectors, 1, seed=0, trial=trial)
+
+    def test_numpy_int_trial_reported_as_int(self):
+        qm = build_q(fixtures.k2())
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
+        out = hyperplane_round(qm, vectors, 2, seed=4, trial=np.int64(300))
+        assert out.trial_seed == (4, 300) and type(out.trial_seed[1]) is int
+        assert out == hyperplane_round(qm, vectors, 2, seed=4, trial=300)
+
     def test_separation_law_pi_third_two_planes(self):
         # pair at angle pi/3 with two hyperplanes stays together with
         # probability (2/3)^2 = 4/9
@@ -338,3 +358,59 @@ class TestBatchedMatchesPerTrial:
                 best, report = round_cut(qm, sol, trials=trials, seed=seed)
                 _same_outcome(best, want[trials])
                 assert report.best_score == want[trials].score
+
+
+class TestTrialStream:
+    """Trial t of seed s is row t % 256 of the (256, k, r) standard normals
+    drawn from Philox key s, counter (0, 0, 0, t // 256), built here
+    without the module's helpers."""
+
+    @staticmethod
+    def _directions(seed, k, width, t):
+        block = np.random.Philox(key=seed, counter=[0, 0, 0, t // 256])
+        return np.random.Generator(block).standard_normal((256, k, width))[t % 256]
+
+    @pytest.mark.parametrize("width", [3, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_hyperplane_round_reads_its_row(self, k, width):
+        qm = build_q(fixtures.petersen())
+        vectors = np.random.default_rng(width).standard_normal((qm.graph.n, width))
+        for seed in (0, 2**64 - 1):
+            for t in (0, 255, 256, 257, 511, 2000):
+                dirs = self._directions(seed, k, width, t)
+                codes = ((vectors @ dirs.T) >= 0.0) @ (1 << np.arange(k))
+                got = hyperplane_round(qm, vectors, k, seed, trial=t)
+                assert got.partition == Partition.from_labels(codes)
+                assert got.trial_seed == (seed, t)
+
+    def test_last_block_keeps_its_counter(self):
+        # a block index past 2**63 is drawn at that exact counter
+        qm = build_q(fixtures.petersen())
+        vectors = np.random.default_rng(0).standard_normal((qm.graph.n, 4))
+        for block in (2**63 + 5, 2**64 - 1):
+            counter = np.array([0, 0, 0, block], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=9, counter=counter))
+            dirs = gen.standard_normal((256, 3, 4))[255]
+            codes = ((vectors @ dirs.T) >= 0.0) @ (1 << np.arange(3))
+            got = hyperplane_round(qm, vectors, 3, 9, trial=block * 256 + 255)
+            assert got.partition == Partition.from_labels(codes)
+
+    def test_one_draw_per_block_of_trials(self, monkeypatch):
+        # the rounding hot spot: one standard_normal call per 256 trials,
+        # not one per trial. Generator is an immutable extension type, so a
+        # subclass stands in for it to count the calls.
+        qm, _, vectors = _relaxed("petersen", "full")
+        calls = []
+
+        class Counted(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls.append(args)
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        for trials in (1, 255, 256, 257, 2000):
+            calls.clear()
+            for _ in _trial_blocks(qm, vectors, 3, trials, seed=5):
+                pass
+            assert len(calls) == -(-trials // 256)
+        assert len(calls) == 8
