@@ -8,10 +8,19 @@ summed vertex by vertex from its prefix's; only the strings that this
 sum, up to a rigorous rounding margin, leaves in the running are scored
 with ``code_scores``, and ``first_best`` keeps the first best of those,
 as rounding does.
+
+A search of more strings than one chunk holds is a branch and bound: a
+greedy dive gives the first best sum, and a prefix is not expanded when
+no completion of it can come within the margin of the best sum so far.
+Every string it skips is one that the margin would drop, so the answer,
+its bits and its place among ties are those of the full enumeration, and
+``enumerated`` still counts every candidate, the set the optimum is
+certified over.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +49,9 @@ def bell_number(n: int) -> int:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Enumerated optimum: value, one optimal partition, and the number of
-    candidates examined. Ties go to the first partition in enumeration
+    """Optimum: value, one optimal partition, and the number of candidates
+    it is certified over, Bell(n) or 2**(n-1); branch and bound scores
+    only some of them. Ties go to the first partition in enumeration
     order."""
 
     opt_value: float
@@ -49,10 +59,17 @@ class ExactResult:
     enumerated: int
 
 
-def _rgs_leaves(q: np.ndarray, rows: int, labels: int):
+def _root():
+    """The empty prefix as (codes, top, score), the one row every search
+    starts from."""
+    return np.zeros((1, 0), np.int8), np.full(1, -1, np.int8), np.zeros(1)
+
+
+def _rgs_leaves(q: np.ndarray, rows: int, labels: int, floor=None):
     """All restricted-growth strings of length n = len(q) with at most
     ``labels`` labels, in lexicographic order, with their incremental
-    scores, in chunks of at most max(rows, n) strings.
+    scores, in chunks of at most max(rows, n) strings; given a ``floor``,
+    only the strings under prefixes that may still reach it.
 
     A chunk is (prefixes, parent, label, score): its string i is
     ``prefixes[parent[i]]`` followed by ``label[i]``, so a caller builds
@@ -61,51 +78,79 @@ def _rgs_leaves(q: np.ndarray, rows: int, labels: int):
     Vertex v adds its own row against its cluster to its parent's score,
     q_vv + 2 * A[x_v], where A[c] sums q_vu over the u < v labelled c and a
     new label has A = 0; the sum is the partition score up to rounding.
+
+    ``floor``, if given, is called each time a level is entered and
+    returns the least score a string must reach. A prefix of length d
+    whose score plus ``_reach(q)[d]`` is below it is dropped with every
+    string under it, none of which can reach it (see ``_reach``).
     """
     n = len(q)
+    reach = None if floor is None else _reach(q)
 
     def expand(codes, top, score):
         # codes holds the first v labels of each row, top its largest label;
         # a level keeps only these while the next is expanded
+        v = codes.shape[1]
+        if floor is not None:
+            live = score + reach[v] >= floor()
+            codes, top, score = codes[live], top[live], score[live]
         first = 0
         while first < len(codes):
-            # the most parents, at least one, whose children fit in a chunk;
-            # each has a child, so no more than `rows` parents fit
-            grow = np.minimum(top[first:first + rows] + 2, labels)
-            fit = np.searchsorted(np.cumsum(grow), rows, "right")
-            last = first + max(1, int(fit))
+            if (len(codes) - first) * min(v + 1, labels) <= rows:
+                last = len(codes)  # every child fits
+            else:
+                # the most parents, at least one, whose children fit in a
+                # chunk; each has a child, so no more than `rows` parents fit
+                grow = np.minimum(top[first:first + rows] + 2, labels)
+                fit = np.searchsorted(np.cumsum(grow), rows, "right")
+                last = first + max(1, int(fit))
             parents = codes[first:last], top[first:last], score[first:last]
-            if codes.shape[1] + 1 == n:
+            if v + 1 == n:
                 yield _children(q, *parents, labels)
             else:
                 yield from expand(*_grown(q, *parents, labels))
             first = last
 
-    yield from expand(np.zeros((1, 0), np.int8), np.full(1, -1, np.int8), np.zeros(1))
+    yield from expand(*_root())
 
 
 def _children(q, codes, top, score, labels):
     """(codes, parent, label, score) of the children of the rows of
     ``codes``, the labels of vertices 0..v-1 with largest label ``top`` and
     incremental score ``score``: child i is row ``parent[i]`` followed by
-    ``label[i]``, one of 0..top+1 below ``labels``."""
-    v = codes.shape[1]
-    # A[c] of parent p at p * (v + 1) + c, summed over u in order
-    slot = np.arange(len(codes)) * (v + 1)
-    cluster = np.bincount((slot[:, None] + codes).ravel(),
-                          np.tile(q[v, :v], len(codes)), len(codes) * (v + 1))
-    # each parent grows by every label it allows, in order
-    grow = np.minimum(top + 2, labels)
-    parent = np.repeat(np.arange(len(codes)), grow)
-    label = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
-    child = score[parent] + q[v, v] + 2.0 * cluster[slot[parent] + label]
+    ``label[i]``, one of 0..top+1 below ``labels``. A row's children and
+    their score bits do not depend on the other rows."""
+    v, rows = codes.shape[1], len(codes)
+    width = min(v + 1, labels)  # the labels a child can take
+    # A[c] of row p at p * width + c, summed over u in order
+    cluster = np.bincount((codes + np.arange(0, rows * width, width)[:, None]).ravel(),
+                          q[None, v, :v].repeat(rows, 0).ravel(),
+                          rows * width).reshape(rows, width)
+    # row p grows by every label it allows, in order
+    allowed = np.arange(width) <= top[:, None] + 1
+    parent, label = allowed.nonzero()
+    child = (score[:, None] + q[v, v] + 2.0 * cluster)[allowed]
     return codes, parent, label.astype(np.int8), child
 
 
 def _grown(q, codes, top, score, labels):
     """The children of the rows of ``codes`` as (codes, top, score)."""
     codes, parent, label, score = _children(q, codes, top, score, labels)
-    return np.column_stack([codes[parent], label]), np.maximum(top[parent], label), score
+    return (np.concatenate([codes[parent], label[:, None]], 1),
+            np.maximum(top[parent], label), score)
+
+
+def _dive(q: np.ndarray, labels: int):
+    """The greedy string and its incremental score: each vertex in turn
+    takes the label that gives the greatest score, the first on a tie. The
+    children come from ``_children``, so the score has the bits that the
+    enumeration gives the same string."""
+    codes, top, score = _root()
+    for _ in range(len(q)):
+        codes, top, score = _grown(q, codes, top, score, labels)
+        i = score.argmax()
+        codes, top, score = codes[i:i + 1], top[i:i + 1], score[i:i + 1]
+    return codes[0], score[0]
 
 
 def _filter_margin(q: np.ndarray) -> float:
@@ -127,13 +172,77 @@ def _filter_margin(q: np.ndarray) -> float:
     return 8.0 * len(q) ** 2 * np.finfo(float).eps * float(np.abs(q).sum())
 
 
+def _reach(q: np.ndarray) -> np.ndarray:
+    """reach[d], d = 0..n: the most that vertices d..n-1 can add to the
+    incremental score of a prefix of length d, plus a rounding slack, so
+    that no string under a prefix with score s reaches a floor f when
+    s + reach[d] < f in floating point.
+
+    In exact arithmetic vertex v adds q_vv + 2 A[x_v], and A[x_v] is at
+    most the sum of max(q_uv, 0) over u < v, so vertices d..n-1 add at
+    most U[d] = sum over v >= d of (q_vv + 2 sum_(u<v) max(q_uv, 0)).
+
+    The slack is the filter margin M = 8 n**2 eps S of ``_filter_margin``,
+    with u = eps / 2, gamma = gamma_(n**2) <= 1.01 n**2 u and
+    S = sum |q_ij|. A string's score s_n is the floating-point sum of its
+    prefix's score s and the terms q_vv and 2 q_uv of v >= d. The
+    magnitudes of all the string's terms sum to at most S, and s lies
+    within gamma S of its own terms' sum, so s_n exceeds s plus the exact
+    sum of the later terms, itself at most U[d], by at most
+    gamma (1 + gamma) S. The computed U[d] is short of U[d] by at most
+    gamma S, and forming U[d] + M and then s + reach[d] loses at most
+    2 u (|s| + |U[d]| + M) < 6 u S more. So the computed s + reach[d] is
+    at least s_n + M - 2.1 n**2 u S - 6 u S, and M = 16 n**2 u S exceeds
+    both losses together at every n >= 1: the computed sum is above s_n,
+    so s_n is below f whenever it is.
+    """
+    gain = q.diagonal() + 2.0 * np.tril(np.maximum(q, 0.0), -1).sum(1)
+    return np.append(np.cumsum(gain[::-1])[::-1], 0.0) + _filter_margin(q)
+
+
+@functools.cache
+def _completions(n: int, labels: int) -> np.ndarray:
+    """table[d, j]: how many restricted-growth strings of length n with at
+    most ``labels`` labels extend one prefix of length d that uses j
+    labels, for the j <= d that such a prefix can use. None exceeds
+    table[0, 0], the number of all the strings, so the table is int64
+    unless that count is not. Read-only, and shared by every call with
+    the same arguments."""
+    table = [[1] * (labels + 1) for _ in range(n + 1)]
+    for d in range(n - 1, -1, -1):
+        # j labels stay j, and a new label makes j + 1 while below the cap
+        table[d] = [j * table[d + 1][j] + (table[d + 1][j + 1] if j < labels else 0)
+                    if j <= d else 0 for j in range(labels + 1)]
+    table = np.array(table, np.int64 if table[0][0] < 1 << 63 else object)
+    table.setflags(write=False)
+    return table
+
+
+def _places(codes: np.ndarray, labels: int) -> np.ndarray:
+    """The place of each row of ``codes``, restricted-growth strings with
+    at most ``labels`` labels, in the lexicographic order of all of them:
+    label x_d of vertex d has x_d earlier siblings, each heading
+    table[d + 1, j] strings, where j is the number of labels before d."""
+    n = codes.shape[1]
+    table = _completions(n, labels)
+    used = np.maximum.accumulate(codes[:, :-1], axis=1) + 1
+    return (codes[:, 1:] * table[np.arange(2, n + 1), used]).sum(1)
+
+
 def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int):
     """The restricted-growth strings of at most ``labels`` labels that may
     be the first best, in (numbers, codes, scores) blocks for
     ``first_best``: each string whose incremental score is at least the
-    greatest so far less the filter margin, numbered in enumeration order
-    and re-scored by ``code_scores``. The strings dropped score strictly
-    below some other string, so the first best of all and its bits survive.
+    greatest so far less the filter margin, numbered by its place in the
+    enumeration of all of them and re-scored by ``code_scores``. The
+    strings dropped score strictly below some other string, so the first
+    best of all and its bits survive.
+
+    A search of more than ``rows`` strings is bounded: the greatest score
+    starts at ``_dive``'s, and a subtree that cannot reach the threshold
+    is not expanded, its strings being ones the threshold drops. A
+    smaller search takes one chunk per level whatever is pruned, so it
+    neither dives nor prunes.
 
     The strings run over the vertices in order for ``step`` 1 and in
     reverse for -1. Codes come back in vertex order and are scored against
@@ -141,14 +250,21 @@ def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int):
     """
     q = qm.entries[::step, ::step]
     margin = _filter_margin(q)
-    best, count = -np.inf, 0
-    for prefixes, parent, label, score in _rgs_leaves(q, rows, labels):
+    # at most `rows` strings take one chunk, one _children call, per level
+    # whatever is pruned: only a larger search dives and prunes
+    bounded = _completions(len(q), labels)[0, 0] > rows
+    best = _dive(q, labels)[1] if bounded else -np.inf
+
+    def floor():
+        return best - margin
+
+    for prefixes, parent, label, score in _rgs_leaves(q, rows, labels,
+                                                      floor if bounded else None):
         best = max(best, score.max())
         keep = np.flatnonzero(score >= best - margin)
         if keep.size:
-            codes = np.column_stack([prefixes[parent[keep]], label[keep]])[:, ::step]
-            yield count + keep, codes, code_scores(qm, codes)
-        count += len(score)
+            codes = np.column_stack([prefixes[parent[keep]], label[keep]])
+            yield _places(codes, labels), codes[:, ::step], code_scores(qm, codes[:, ::step])
 
 
 def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:

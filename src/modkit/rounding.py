@@ -99,6 +99,22 @@ class GuaranteeReport:
     seed: int
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; a bool or a non-integer is a TypeError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    return int(value)
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` as a Python int, if it is one that ``modkit --seed``
+    accepts: an integer from 0 to 2**64 - 1, one Philox key."""
+    seed = _as_int("seed", seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
+    return seed
+
+
 def _trial_rng(seed: int, block: int) -> np.random.Generator:
     # Counter-based stream of trials block * _TRIAL_BLOCK onwards: independent
     # per block, reproducible per seed, each trial one row of its draw. A
@@ -143,16 +159,17 @@ def hyperplane_round(
     sharing the sign pattern of all k projections share a cluster; a zero
     projection counts as positive. The pattern, read as k bits, is a
     vertex's cluster code; codes are compacted to contiguous ids and the
-    partition scored against ``qm``. ``trial`` must be an int from 0 to
-    2**72 - 1, so that its block index fits the counter's 64-bit word.
+    partition scored against ``qm``. ``seed`` must be an int from 0 to
+    2**64 - 1, and ``trial`` one from 0 to 2**72 - 1, so that its block
+    index fits the counter's 64-bit word.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if isinstance(trial, (bool, np.bool_)) or not isinstance(trial, (int, np.integer)):
-        raise TypeError(f"trial must be an int, not {type(trial).__name__}")
+    seed = _checked_seed(seed)
+    trial = _as_int("trial", trial)
     if trial < 0:
         raise ValueError(f"trial must be nonnegative, got {trial}")
-    block, row = divmod(int(trial), _TRIAL_BLOCK)
+    block, row = divmod(trial, _TRIAL_BLOCK)
     if block >= 1 << 64:
         raise ValueError(f"trial {trial} is past the last block of trials")
     dirs = _trial_rng(seed, block).standard_normal((row + 1, k, vectors.shape[1]))[row]
@@ -161,7 +178,7 @@ def hyperplane_round(
         partition=Partition.from_labels(codes),
         score=float(code_scores(qm, codes[None])[0]),
         k_used=k,
-        trial_seed=(seed, int(trial)),
+        trial_seed=(seed, trial),
     )
 
 
@@ -205,7 +222,8 @@ def _best_of_trials(qm, vectors, k, trials, seed):
 def round_full(
     qm: QMatrix, sol: SdpSolution, trials: int, seed: int
 ) -> tuple[RoundingOutcome, GuaranteeReport]:
-    """Best of ``trials`` adaptive-count hyperplane roundings.
+    """Best of ``trials`` adaptive-count hyperplane roundings, trials
+    0..trials-1 of ``seed``, an int from 0 to 2**64 - 1.
 
     The report carries the expectation floor q * (f_k(z+) + h_k(-z-)) and
     the additive certificate relaxation_value - q * g_k(z+), both at the
@@ -215,6 +233,7 @@ def round_full(
     """
     if sol.kind != "full":
         raise ValueError("round_full needs a full-relaxation solution")
+    seed = _checked_seed(seed)
     z_plus = float(np.clip(sol.z_plus, 0.0, 1.0))
     z_minus = float(np.clip(sol.z_minus, -1.0, 0.0))
     k_star = select_k_star(z_plus, qm.graph.n)
@@ -244,7 +263,8 @@ def round_full(
 def round_cut(
     qm: QMatrix, sol: SdpSolution, trials: int, seed: int
 ) -> tuple[RoundingOutcome, GuaranteeReport]:
-    """Best of ``trials`` single-hyperplane bipartitions.
+    """Best of ``trials`` single-hyperplane bipartitions, trials
+    0..trials-1 of ``seed``, an int from 0 to 2**64 - 1.
 
     The report carries the envelope floor p+(2z+ - 1) + p-(-1 - 2z-) and
     the additive certificate relaxation_value - 0.16598. A draw that leaves
@@ -253,6 +273,7 @@ def round_cut(
     """
     if sol.kind != "cut":
         raise ValueError("round_cut needs a bipartition-relaxation solution")
+    seed = _checked_seed(seed)
     best = _best_of_trials(qm, gram_vectors(sol), 1, trials, seed)
 
     plus_arg = float(np.clip(2.0 * sol.z_plus - 1.0, -1.0, 1.0))

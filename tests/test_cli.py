@@ -508,3 +508,21 @@ class TestUsage:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "modkit solve: error: argument --variant: invalid choice: 'bogus' "
             "(choose from 'undirected', 'weighted', 'directed', 'bipartite')")
+
+    def test_one_parser_for_every_call(self, k2_file, capsys, monkeypatch):
+        # main builds its parser once, however its calls end, and the same
+        # call gives the same report; build_parser still makes a fresh one
+        build, built = modkit.cli.build_parser, []
+        monkeypatch.setattr(modkit.cli, "build_parser", lambda: built.append(1) or build())
+        modkit.cli._parser.cache_clear()
+        try:
+            assert main(["exact", "--input", k2_file]) == 0
+            first = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                main(["solve", "--frobnicate"])
+            assert main(["exact", "--input", k2_file]) == 0
+            assert capsys.readouterr().out == first
+        finally:
+            modkit.cli._parser.cache_clear()
+        assert built == [1]
+        assert build() is not build()

@@ -13,7 +13,8 @@ from modkit import (
     solve_full_sdp,
 )
 from modkit import exact
-from modkit.exact import _filter_margin, _rgs_blocks, _rgs_leaves, bell_number
+from modkit.exact import (_completions, _dive, _filter_margin, _places, _rgs_blocks, _rgs_leaves,
+                          bell_number)
 from modkit.modularity import Partition, code_scores
 
 import fixtures
@@ -243,6 +244,65 @@ class TestIncrementalFilter:
             assert res.opt_value == scores[first], budget
             kept = sum(len(k) for k, _, _ in _rgs_blocks(qm, budget, labels, step))
             assert kept >= ties, budget
+
+
+def _every_string(q, labels):
+    """Every restricted-growth string over ``q``'s vertices, as codes in
+    enumeration order, with its incremental score."""
+    chunks = list(_rgs_leaves(q, exact._ROWS, labels))
+    codes = np.concatenate([np.column_stack([p[parent], label]) for p, parent, label, _ in chunks])
+    return codes, np.concatenate([score for *_, score in chunks])
+
+
+class TestBranchAndBound:
+    """A search of more strings than ``rows`` starts from the dive's score
+    and does not expand a prefix that cannot come within the margin of the
+    best score so far; every string it skips is one the margin drops."""
+
+    GRAPHS = _small_graphs(8) + [(f"w{n}", fixtures.planted_weighted(n, 2, seed=5))
+                                 for n in (10, 11)]
+
+    @pytest.mark.parametrize("oracle", ["full", "cut"])
+    def test_keeps_every_string_near_the_best(self, oracle):
+        for name, g in self.GRAPHS:
+            qm = build_q(g)
+            labels, step = (g.n, 1) if oracle == "full" else (2, -1)
+            q = qm.entries[::step, ::step]
+            codes, score = _every_string(q, labels)
+            assert (_places(codes, labels) == np.arange(len(codes))).all(), name
+            floor = score.max() - _filter_margin(q)
+            near = {int(k): codes[k, ::step].tolist() for k in np.flatnonzero(score >= floor)}
+            # the blocks, bounded at a budget of one string and not at n
+            for rows in (1, g.n):
+                kept = {int(k): row for numbers, rows_codes, _ in _rgs_blocks(qm, rows, labels, step)
+                        for k, row in zip(numbers, rows_codes.tolist())}
+                assert near.items() <= kept.items(), (name, rows)
+            # the enumeration at the highest floor the margin allows
+            reached = [np.column_stack([p[parent], label])
+                       for p, parent, label, _ in _rgs_leaves(q, exact._ROWS, labels, lambda: floor)]
+            reached = np.concatenate(reached)
+            assert near.keys() <= set(_places(reached, labels).tolist()), name
+            if g.n >= 10:
+                assert len(reached) < len(codes) // 10, name
+
+    def test_dive_score_has_the_enumeration_bits(self):
+        for name, g in self.GRAPHS:
+            for labels, step in ((g.n, 1), (2, -1)):
+                q = build_q(g).entries[::step, ::step]
+                codes, score = _every_string(q, labels)
+                dive, dive_score = _dive(q, labels)
+                k = int(_places(dive[None], labels)[0])
+                assert codes[k].tolist() == dive.tolist(), (name, labels)
+                assert score[k].hex() == dive_score.hex(), (name, labels)
+
+    def test_completions_count_every_string(self):
+        for n in range(1, 13):
+            assert _completions(n, n)[0, 0] == bell_number(n)
+            assert _completions(n, 2)[0, 0] == 2 ** (n - 1)
+        # counts past int64 stay exact
+        assert _completions(62, 2).dtype == np.int64
+        assert _completions(64, 2)[0, 0] == 2 ** 63
+        assert _completions(30, 30)[0, 0] == bell_number(30)
 
 
 def test_rounding_at_the_optimum_reports_its_bits():

@@ -101,6 +101,31 @@ class TestHyperplaneRound:
         assert out.trial_seed == (4, 300) and type(out.trial_seed[1]) is int
         assert out == hyperplane_round(qm, vectors, 2, seed=4, trial=300)
 
+    @pytest.mark.parametrize("seed, error", [
+        (1.5, TypeError), (True, TypeError), (-1, ValueError), (2**64, ValueError),
+    ])
+    def test_rejects_bad_seed(self, seed, error):
+        # the seeds `modkit --seed` accepts, from every entry point
+        qm = build_q(fixtures.cycle_graph(4))
+        full, cut = solve_full_sdp(qm), solve_cut_sdp(qm)
+        with pytest.raises(error):
+            hyperplane_round(qm, full.factor, 1, seed=seed)
+        with pytest.raises(error):
+            round_full(qm, full, trials=5, seed=seed)
+        with pytest.raises(error):
+            round_cut(qm, cut, trials=5, seed=seed)
+
+    def test_numpy_int_seed_reported_as_int(self):
+        qm = build_q(fixtures.cycle_graph(4))
+        sol = solve_full_sdp(qm)
+        last = 2**64 - 1
+        out = hyperplane_round(qm, sol.factor, 2, seed=np.uint64(last), trial=3)
+        assert out.trial_seed == (last, 3) and type(out.trial_seed[0]) is int
+        assert out == hyperplane_round(qm, sol.factor, 2, seed=last, trial=3)
+        best, report = round_full(qm, sol, trials=5, seed=np.uint64(last))
+        assert type(report.seed) is int and type(best.trial_seed[0]) is int
+        assert (best, report) == round_full(qm, sol, trials=5, seed=last)
+
     def test_separation_law_pi_third_two_planes(self):
         # pair at angle pi/3 with two hyperplanes stays together with
         # probability (2/3)^2 = 4/9
