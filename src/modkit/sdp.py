@@ -9,27 +9,33 @@ Two problems, one solver each:
   symmetric eigendecomposition per iteration) and onto the nonnegative
   unit-diagonal matrices, with scaled dual updates and a penalty that
   self-tunes by residual balancing. ADMM starts warm, primal and dual,
-  from the mixing method below run with the rows of V kept >= 0: X = V V^T
-  is then feasible, and often close to the optimum, though V >= 0 confines
-  it to the completely positive matrices. ADMM is run as Douglas-Rachford
-  splitting on one matrix, and after a warm-up it also tries, at most once
-  per 20 iterations, a safeguarded semismooth Newton step on the map's
-  fixed-point residual (Ali, Wong & Kolter 2017), with the closed-form
-  generalized Jacobian of the PSD projection (Zhao, Sun & Toh 2010) and
-  one cycle of an in-module GMRES (Saad & Schultz 1986). The full step is
-  backtracked along its direction until it shrinks the residual enough,
-  and dropped if no step size does; the stop test is made on plain ADMM
-  steps. The eigenpairs of the last PSD projection, rows normalized, give
+  from the mixing method (Wang, Chang & Kolter 2017) run with the rows of
+  V kept >= 0: each sweep sets every row in turn to the normalized,
+  clipped Q-weighted sum of the others. X = V V^T is then feasible, and
+  often close to the optimum, though V >= 0 confines it to the completely
+  positive matrices. ADMM is run as Douglas-Rachford splitting on one
+  matrix, and after a warm-up, which ends early once both residuals reach
+  10 tol_obj, it also tries, at most once per 20 iterations, a safeguarded
+  semismooth Newton step on the map's fixed-point residual (Ali, Wong &
+  Kolter 2017), with the closed-form generalized Jacobian of the PSD
+  projection (Zhao, Sun & Toh 2010) and one cycle of an in-module GMRES
+  (Saad & Schultz 1986). The full step is backtracked along its direction
+  until it shrinks the residual enough, and dropped if no step size does;
+  the stop test is made on plain ADMM steps. The eigenpairs of the last PSD projection, rows normalized, give
   the factor. When ADMM stopped early and that factor's V V^T has a
   negative entry, the nonnegative start is returned instead, so the
   solution stays in the relaxation's domain.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
-  modularity over bipartitions. It is solved by the mixing method (Wang,
-  Chang & Kolter 2017): X = V V^T with V of rank ceil(sqrt(2n)) + 1 and unit
-  rows, each sweep setting every row in turn to the normalized Q-weighted
-  sum of the others. The updates need no eigendecomposition; each sweep
-  runs one symmetric eigenvalue solve (eigvalsh) for its dual bound.
+  modularity over bipartitions. It is solved as X = V V^T with V of rank
+  ceil(sqrt(2n)) + 1 and unit rows by the generalized power method
+  (Journee, Nesterov, Richtarik & Sepulchre 2010): each step sets V to the
+  row-normalized product (C0 + sigma I) V, one matrix product, where C0 is
+  Q off its diagonal and the shift sigma, from one symmetric eigenvalue
+  solve (eigvalsh) at the start, makes every step raise the objective. The
+  dual bound, one more eigvalsh, is evaluated only on a schedule: when a
+  step stalls, with a doubling wait between evaluations, and on the last
+  step that max_iters permits.
 
 Both solvers return their solution as a unit-row factor V: the solution is
 X = V V^T, every reported figure is evaluated on it, and the rounding cuts
@@ -37,13 +43,13 @@ V itself. Each also returns a dual upper bound that holds at any iterate,
 converged or not (Jansson, Chaykowski & Keil 2007): for any vector y and
 any symmetric N >= 0 with zero diagonal, every feasible X has
 <Q, X> <= sum(y) + n * max(0, lambda_max(Q + N - Diag y)). The full solver
-takes y and N from its last dual iterate; the mixing method takes
-y = diag(Q V V^T), and stops when this bound is within ``tol_obj`` of the
-objective it reports. Each also returns its iterate record, one row per
-iteration, as data; the iteration count and the final residuals are read
-from it. The module does no I/O. Iteration order and the mixing
-method's starting point are fixed, so a solve is bit-reproducible for
-identical inputs and options.
+takes y and N from its last dual iterate; the bipartition solver takes
+y = diag(Q V V^T), and stops only on an evaluation where this bound is
+within ``tol_obj`` of the objective it reports. Each also returns its
+iterate record, one row per iteration, as data; the iteration count and
+the final residuals are read from it. The module does no I/O. Iteration
+order and the seeded starting point are fixed, so a solve is
+bit-reproducible for identical inputs and options.
 """
 
 from __future__ import annotations
@@ -80,14 +86,23 @@ _INITIAL_PENALTY = 0.125
 # optimum: on the test corpus, ADMM then needs 1.5 times the iterations.
 _START_TOL = 1e-9
 
+# The bipartition solver evaluates its dual bound (one eigvalsh) only when a
+# step stalls, and at least this many steps after the previous evaluation
+# once the wait, doubled at each evaluation from 1, reaches it.
+_BOUND_MAX_WAIT = 64
+
 # Semismooth Newton steps on ADMM's fixed-point residual: the first attempt
-# follows a warm-up of this many iterations, the next ones wait between
-# _NEWTON_WAIT and _NEWTON_MAX_WAIT iterations, and the linear system gets
-# one GMRES cycle of _NEWTON_KRYLOV iterations. Along the direction d the
-# steps t + alpha d are tried for alpha in _NEWTON_STEPS, in order, and the
-# first that shrinks the residual by 1 - (1 - _NEWTON_DECREASE) alpha is
-# taken.
+# follows a warm-up of _NEWTON_WARMUP iterations, or comes sooner, on the
+# iteration after both residuals first reach _NEWTON_CLOSE * tol_obj; a
+# warm-up of max_iters or more turns the attempts off. Many small graphs
+# are within 1e-7 at iteration 100, and the first attempt finishes them.
+# The next attempts wait between _NEWTON_WAIT and _NEWTON_MAX_WAIT
+# iterations, and the linear system gets one GMRES cycle of _NEWTON_KRYLOV
+# iterations. Along the direction d the steps t + alpha d are tried for
+# alpha in _NEWTON_STEPS, in order, and the first that shrinks the residual
+# by 1 - (1 - _NEWTON_DECREASE) alpha is taken.
 _NEWTON_WARMUP = 100
+_NEWTON_CLOSE = 10.0
 _NEWTON_WAIT = 20
 _NEWTON_MAX_WAIT = 200
 _NEWTON_DECREASE = 0.9
@@ -101,9 +116,12 @@ class SolverOptions:
     dual gap (bipartition) or the relative objective change (full) at
     convergence; ADMM also needs both residuals at most ``tol_obj / 40``.
     It must be finite and positive. ``max_iters``, a positive int, caps the
-    mixing sweeps of either solver and, separately, the full solver's ADMM
-    iterations, so a full solve can run up to twice that many steps; its
-    ``iterations`` count ADMM iterations only. The full solver's Newton
+    bipartition solver's power steps, the full solver's nonnegative mixing
+    sweeps (its warm start) and, separately, its ADMM iterations, so a full
+    solve can run up to twice that many steps; its ``iterations`` count
+    ADMM iterations only. A bipartition solve takes about 5 to 6 times as
+    many power steps as the mixing sweeps it took before them, each far
+    cheaper. The full solver's Newton
     attempts, at most one per 20 ADMM iterations with up to four trial
     eigendecompositions each, are not iterations: they add no row to the
     solution's ``history``."""
@@ -134,8 +152,11 @@ class SdpSolution:
     optimum, and so on the best partition's score; it holds whether or not
     the solve converged. ``history`` has one row (objective,
     primal_residual, dual_residual) per iteration: per ADMM iteration for
-    kind="full", per sweep for kind="cut". ``iterations`` is its row count,
-    and ``primal_residual`` and ``dual_residual`` are its last row's.
+    kind="full", per power step for kind="cut". For kind="cut" the
+    dual_residual column is the dual gap last measured, +inf before the
+    first measurement; the last row's is always measured on ``factor``,
+    against the reported ``objective``. ``iterations`` is its row count, and
+    ``primal_residual`` and ``dual_residual`` are its last row's.
     """
 
     factor: np.ndarray
@@ -171,7 +192,7 @@ def _box_project(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The nearest nonnegative matrix with unit diagonal, written to ``out``
     when given."""
     out = np.maximum(mat, 0.0, out=out)
-    np.fill_diagonal(out, 1.0)
+    out.flat[:: out.shape[0] + 1] = 1.0
     return out
 
 
@@ -303,7 +324,8 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     (dual) residual exceeds 10 times the other, and u is rescaled to
     match.
 
-    ADMM's tail is linear and slow, so after a warm-up the loop also tries
+    ADMM's tail is linear and slow, so after a warm-up, cut short when both
+    residuals reach ``_NEWTON_CLOSE * tol_obj``, the loop also tries
     semismooth Newton steps on the fixed-point residual F(t) = t - T(t)
     (Ali, Wong & Kolter 2017); see ``_newton_direction``. Far from a
     solution the full step t + d can leave the region where the
@@ -326,10 +348,13 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     history = array("d")
     wait = _NEWTON_WAIT
     next_newton = _NEWTON_WARMUP + 1
+    close = _NEWTON_CLOSE * opts.tol_obj
+    early = _NEWTON_WARMUP < opts.max_iters
 
     for it in range(1, opts.max_iters + 1):
         x, lam, vecs = _reflect(t, bt, c_rho)
         if it >= next_newton:
+            early = False
             f = bt - x
             f_norm = np.linalg.norm(f)
             d = _newton_direction(f, _residual_jacobian(t, lam, vecs))
@@ -366,6 +391,8 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
             converged = True
             break
         obj_prev = obj
+        if early and r_inf <= close and s_inf <= close:
+            next_newton, early = it + 1, False
 
         if it % 10 == 0 and max(r_inf, s_inf) > 10.0 * min(r_inf, s_inf):
             # u = t - B(t) is rescaled against rho; B(t) does not move
@@ -402,44 +429,79 @@ def _mixing_start(n: int) -> np.ndarray:
     return v
 
 
-def _mixing_sweep(c: np.ndarray, v: np.ndarray, nonneg: bool) -> None:
-    """One sweep of the mixing method, in place: in index order, row i
-    becomes g / |g| for g = sum_{j != i} c_ij v_j, with g clipped to >= 0
-    when ``nonneg``; a row whose g is zero is left unchanged. Any other
-    update maximizes <c, V V^T> over row i alone among unit (nonnegative)
-    rows."""
-    for i in range(c.shape[0]):
-        g = c[i] @ v - c[i, i] * v[i]
-        if nonneg:
-            np.maximum(g, 0.0, out=g)
+def _mixing_sweep(c: np.ndarray, v: np.ndarray) -> None:
+    """One sweep of the nonnegative mixing method, in place: in index
+    order, row i becomes g / |g| for g = max(0, sum_{j != i} c_ij v_j); a
+    row whose g is zero is left unchanged. Any other update maximizes
+    <c, V V^T> over row i alone among unit nonnegative rows."""
+    for c_row, c_ii, row in zip(c, np.diag(c), v):
+        g = c_row @ v
+        g -= c_ii * row
+        np.maximum(g, 0.0, out=g)
         norm = math.sqrt(g @ g)
         if norm > 0.0:
-            v[i] = g / norm
+            np.divide(g, norm, out=row)
 
 
-def _mixing(c: np.ndarray, opts: SolverOptions):
-    """Maximize <c, (X+1)/2> over PSD X with unit diagonal as X = V V^T.
+def _power_method(c: np.ndarray, opts: SolverOptions):
+    """Maximize <c, (X+1)/2> over PSD X with unit diagonal as X = V V^T,
+    by the generalized power method (Journee, Nesterov, Richtarik &
+    Sepulchre 2010): each step sets V <- rownormalize((C0 + sigma I) V),
+    one matrix product, where C0 is c with its diagonal zeroed and
+    sigma = max(0, -lambda_min(C0)), from one eigvalsh, makes C0 + sigma I
+    positive semidefinite, so that <c, V V^T> never decreases. A row whose
+    product is zero is left unchanged: an isolated vertex's row of C0 is
+    zero and gets no shift, so its row never moves.
+
     Returns (V, converged, upper_bound, history), the last with one row
-    (objective, primal_res, gap) per sweep; the gap is measured against that
-    objective, evaluated on V V^T as ``solve_cut_sdp`` reports it."""
+    (objective, primal_res, gap) per step. A step's objective is read from
+    the product of the next step. The dual bound, and the objective as
+    ``solve_cut_sdp`` reports it, are evaluated only when a step changes
+    the objective by at most ``tol_obj``, relative, at least ``wait`` steps
+    after the last evaluation (``wait`` doubles from 1 to
+    ``_BOUND_MAX_WAIT``), and on the last step ``max_iters`` permits. The
+    solve stops only on an evaluated step whose gap is at most ``tol_obj``
+    times max(1, |objective|). The gap column holds the most recent
+    measured gap, +inf before the first, so the last row's gap is always
+    measured on the returned V."""
     n = c.shape[0]
     v = _mixing_start(n)
+    m = c.copy()
+    m.flat[:: n + 1] = 0.0
+    sigma = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
+    # an isolated vertex's row of C0 is zero: unshifted, its product stays
+    # zero and its row is never moved
+    moving = m.any(axis=1)
+    m.flat[:: n + 1] = sigma * moving
     shift = float(c.sum())
-    bound = np.inf
+    # <c, V V^T> = <m, V V^T> + sum_i (c_ii - sigma [i moves]) |v_i|^2, read
+    # with unit rows
+    constant = float(np.trace(c)) - sigma * int(moving.sum()) + shift
+    bound = gap = np.inf
     converged = False
     history = array("d")
+    wait, evaluated = 1, 0
+    g = m @ v
+    obj_prev = (float(np.vdot(g, v)) + constant) / 2.0
 
-    for _ in range(opts.max_iters):
-        _mixing_sweep(c, v, nonneg=False)
-        # y_i = (Q V V^T)_ii, the multiplier of the constraint X_ii = 1
-        y = np.einsum("ij,ij->i", c @ v, v)
-        objective = float((c * (v @ v.T + 1.0)).sum()) / 2.0
-        bound = (_dual_bound(c, y) + shift) / 2.0
-        gap = bound - objective
+    for it in range(1, opts.max_iters + 1):
+        norm = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        np.divide(g, norm, out=v, where=norm > 0.0)
+        g = m @ v
+        objective = (float(np.vdot(g, v)) + constant) / 2.0
         primal = float(np.abs(np.einsum("ij,ij->i", v, v) - 1.0).max())
+        stalled = abs(objective - obj_prev) <= opts.tol_obj * max(1.0, abs(objective))
+        obj_prev = objective
+        if (stalled and it - evaluated >= wait) or it == opts.max_iters:
+            # y_i = (Q V V^T)_ii, the multiplier of the constraint X_ii = 1
+            y = np.einsum("ij,ij->i", c @ v, v)
+            objective = float((c * (v @ v.T + 1.0)).sum()) / 2.0
+            bound = (_dual_bound(c, y) + shift) / 2.0
+            gap = bound - objective
+            converged = bool(gap <= opts.tol_obj * max(1.0, abs(objective)))
+            wait, evaluated = min(2 * wait, _BOUND_MAX_WAIT), it
         history.extend((objective, primal, gap))
-        if gap <= opts.tol_obj * max(1.0, abs(objective)):
-            converged = True
+        if converged:
             break
     return v, converged, bound, np.frombuffer(history).reshape(-1, 3)
 
@@ -461,7 +523,7 @@ def _nonneg_mixing(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
     v = np.abs(_mixing_start(n))
     obj_prev = None
     for _ in range(opts.max_iters):
-        _mixing_sweep(c, v, nonneg=True)
+        _mixing_sweep(c, v)
         obj = float(np.einsum("ij,ij->", c @ v, v))
         if obj_prev is not None and abs(obj - obj_prev) <= _START_TOL * max(1.0, abs(obj)):
             break
@@ -516,12 +578,12 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
 
 def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve the bipartition relaxation (no nonnegativity constraint) by the
-    mixing method.
+    generalized power method.
 
     Only undirected and weighted inputs are meaningful here; other variants
     are rejected. z_plus is the coupling term of the objective and z_minus
     the null-model term, so objective == z_plus + z_minus. The residuals
-    are max_i |v_i . v_i - 1| and the dual gap.
+    are max_i |v_i . v_i - 1| and the dual gap last measured.
     """
     if qm.graph.variant not in ("undirected", "weighted"):
         raise ValueError(
@@ -529,7 +591,7 @@ def solve_cut_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution
             f"graphs, not {qm.graph.variant!r}"
         )
     opts = opts or SolverOptions()
-    v, converged, bound, history = _mixing(qm.entries, opts)
+    v, converged, bound, history = _power_method(qm.entries, opts)
 
     coupling, null, _ = summands(qm.graph)
     shifted = v @ v.T + 1.0

@@ -277,6 +277,48 @@ class TestNewtonSteps:
         assert full_step.iterations >= 1.25 * backtracked.iterations
         assert backtracked.objective == pytest.approx(full_step.objective, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "name, graph, max_iters, warmup, first",
+        [
+            # both residuals first reach 10 tol_obj at iteration 39
+            ("petersen", fixtures.petersen(), 50000, 100, 40),
+            # not before iteration 183: the warm-up ends first
+            ("planted", fixtures.planted_weighted(30, 4, seed=1), 50000, 100, 101),
+            # a warm-up of max_iters or more turns the attempts off
+            ("petersen_off", fixtures.petersen(), 50000, 50000, None),
+            ("petersen_capped", fixtures.petersen(), 100, 100, None),
+        ],
+    )
+    def test_first_attempt_when_admm_is_close(self, monkeypatch, name, graph,
+                                              max_iters, warmup, first):
+        # the first attempt follows the warm-up, or comes on the iteration
+        # after both residuals first reach 10 tol_obj; every ADMM iteration
+        # projects once before its attempt, so the projections made before
+        # the first attempt number its iteration
+        reflects, attempts = [], []
+        reflect, direction = sdp._reflect, sdp._newton_direction
+
+        def counting_reflect(*args):
+            reflects.append(None)
+            return reflect(*args)
+
+        def recording_direction(*args):
+            attempts.append(len(reflects))
+            return direction(*args)
+
+        monkeypatch.setattr(sdp, "_reflect", counting_reflect)
+        monkeypatch.setattr(sdp, "_newton_direction", recording_direction)
+        monkeypatch.setattr(sdp, "_NEWTON_WARMUP", warmup)
+        opts = SolverOptions(max_iters=max_iters)
+        sol = solve_full_sdp(build_q(graph), opts)
+        if first is None:
+            assert attempts == [], name
+            return
+        assert sol.converged
+        close = 10.0 * opts.tol_obj
+        rows = np.flatnonzero((sol.history[:, 1] <= close) & (sol.history[:, 2] <= close))
+        assert attempts[0] == first == min(rows[0] + 2, warmup + 1), name
+
 
 class TestGmres:
     @staticmethod
@@ -455,6 +497,126 @@ class TestMixingSolver:
             report["upper_bound"] - report["relaxation_value"], abs=1e-12
         )
         assert np.all(rows[:-1, 3] > SolverOptions().tol_obj)
+
+
+def two_block_graph(n: int, seed: int) -> Graph:
+    """Seeded unweighted 2-block planted graph: vertex i in block i % 2,
+    pairs joined with probability 12 / n inside a block and 1.5 / n
+    between blocks, as the benchmark's cut graphs are drawn."""
+    rng = np.random.default_rng(seed)
+    edges = tuple(
+        (i, j, 1.0)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < (12.0 / n if i % 2 == j % 2 else 1.5 / n)
+    )
+    return Graph(n=n, edges=edges, variant="undirected")
+
+
+class TestPowerStep:
+    # the bipartition solver steps V <- rownormalize((C0 + sigma I) V) and
+    # evaluates its dual bound only on a schedule; the gap column carries
+    # the last measured gap
+
+    GRAPHS = [
+        ("petersen", fixtures.petersen()),
+        ("planted_40", fixtures.planted_weighted(40, 2, seed=1)),
+        ("two_block_60", two_block_graph(60, seed=2)),
+    ]
+
+    @staticmethod
+    def spy_bounds(monkeypatch):
+        calls = []
+        bound = sdp._dual_bound
+
+        def spy(c, y, N=None):
+            calls.append((y.copy(), bound(c, y, N)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sdp, "_dual_bound", spy)
+        return calls
+
+    @staticmethod
+    def measured_rows(history):
+        gap = history[:, 2]
+        return np.flatnonzero(gap != np.concatenate(([np.inf], gap[:-1])))
+
+    def test_objective_never_decreases(self):
+        # C0 + sigma I is positive semidefinite, so each step raises
+        # <Q, V V^T>; the rows differ from that only by rounding
+        for name, g in CUT_CORPUS + self.GRAPHS:
+            sol = solve_cut_sdp(build_q(g))
+            assert np.diff(sol.history[:, 0]).min() >= -1e-15, name
+
+    def test_stops_only_on_an_evaluated_row(self, monkeypatch):
+        calls = self.spy_bounds(monkeypatch)
+        tol = SolverOptions().tol_obj
+        for name, g in self.GRAPHS:
+            calls.clear()
+            qm = build_q(g)
+            sol = solve_cut_sdp(qm)
+            rows = self.measured_rows(sol.history)
+            assert sol.converged, name
+            assert len(calls) == rows.size >= 2, name
+            assert rows[-1] == sol.iterations - 1, name
+            shift = float(qm.entries.sum())
+            for (_, bound), row in zip(calls, rows):
+                objective, _, gap = sol.history[row]
+                assert gap == (bound + shift) / 2.0 - objective, name
+                assert (gap <= tol * max(1.0, abs(objective))) == (row == rows[-1]), name
+
+    @pytest.mark.parametrize("max_iters", [3, 40])
+    def test_gap_column_carries_the_last_measured_gap(self, monkeypatch, max_iters):
+        # +inf before the first evaluation, then the gap last measured
+        calls = self.spy_bounds(monkeypatch)
+        sol = solve_cut_sdp(build_q(fixtures.petersen()), SolverOptions(max_iters=max_iters))
+        gap = sol.history[:, 2]
+        rows = self.measured_rows(sol.history)
+        assert len(calls) == rows.size
+        assert np.all(np.isinf(gap[: rows[0]]))
+        assert np.all(np.isfinite(gap[rows[0]:]))
+        for start, stop in zip(rows, np.append(rows[1:], len(gap))):
+            assert np.all(gap[start:stop] == gap[start])
+        if max_iters == 40:
+            assert rows.size >= 2 and rows[0] > 0
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 5, 30])
+    def test_last_row_measured_on_the_returned_factor(self, monkeypatch, max_iters):
+        calls = self.spy_bounds(monkeypatch)
+        qm = build_q(fixtures.petersen())
+        sol = solve_cut_sdp(qm, SolverOptions(max_iters=max_iters))
+        assert not sol.converged and sol.iterations == max_iters
+        v = sol.factor
+        y, bound = calls[-1]
+        assert np.array_equal(y, np.einsum("ij,ij->i", qm.entries @ v, v))
+        objective = float((qm.entries * (v @ v.T + 1.0)).sum()) / 2.0
+        assert sol.objective == objective == sol.history[-1, 0]
+        assert sol.upper_bound == (bound + float(qm.entries.sum())) / 2.0
+        assert sol.dual_residual == sol.upper_bound - sol.objective
+        # the rows before are those of the uncapped solve
+        uncapped = solve_cut_sdp(qm)
+        assert np.array_equal(sol.history[:-1], uncapped.history[: max_iters - 1])
+
+    def test_zero_row_is_bitwise_fixed(self):
+        # vertices 4 and 5 have no edge: their rows of C0 are zero and take
+        # no shift, so they keep the seeded start to the bit
+        g = Graph(n=6, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)),
+                  variant="undirected")
+        qm = build_q(g)
+        start = sdp._mixing_start(g.n)
+        for max_iters in (1, 2, 10, None):
+            opts = SolverOptions() if max_iters is None else SolverOptions(max_iters=max_iters)
+            sol = solve_cut_sdp(qm, opts)
+            assert np.array_equal(sol.factor[4:], start[4:]), max_iters
+            assert not np.array_equal(sol.factor[:4], start[:4]), max_iters
+        assert sol.converged
+
+    def test_two_block_n150_converges_within_the_default_cap(self):
+        qm = build_q(two_block_graph(150, seed=2))
+        sol = solve_cut_sdp(qm)
+        assert sol.converged
+        assert sol.iterations < SolverOptions().max_iters
+        assert sol.upper_bound - sol.objective <= SolverOptions().tol_obj
 
 
 @pytest.fixture(scope="module")
