@@ -28,7 +28,7 @@ from . import bounds
 from .exact import CUT_LIMIT, FULL_LIMIT, exact_cut, exact_full
 from .graph import VARIANTS, GraphFormatError, parse_edge_list
 from .modularity import build_q
-from .rounding import round_cut, round_full
+from .rounding import _checked_seed, round_cut, round_full
 from .sdp import SolverOptions, solve_cut_sdp, solve_full_sdp
 
 EXIT_OK = 0
@@ -111,11 +111,7 @@ def _load_graph(args):
 
 
 def _resolve_seed(args) -> int:
-    if args.entropy:
-        return secrets.randbits(64)
-    if not 0 <= args.seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit value, got {args.seed}")
-    return args.seed
+    return secrets.randbits(64) if args.entropy else _checked_seed(args.seed)
 
 
 def _config_echo(args, seed: int) -> dict:
@@ -141,9 +137,10 @@ def _run_rounding_command(args) -> int:
     graph = _load_graph(args)
     qm = build_q(graph)
     opts = SolverOptions(tol_obj=args.tol_obj, max_iters=args.max_iters)
+    # the seed and trial count are checked here as well as by the rounding,
+    # so that they, or an output or log path, fail before the solve instead
+    # of after it
     seed = _resolve_seed(args)
-    # checked here as well as by the rounding, so that a bad trial count or
-    # an output or log path fails before the solve instead of after it
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
     files = [path for path in (args.output, args.iterate_log) if path not in (None, "-")]

@@ -9,22 +9,22 @@ Two problems, one solver each:
   symmetric eigendecomposition per iteration) and onto the nonnegative
   unit-diagonal matrices, with scaled dual updates and a penalty that
   self-tunes by residual balancing. ADMM starts warm, primal and dual,
-  from the mixing method (Wang, Chang & Kolter 2017) run with the rows of
-  V kept >= 0: each sweep sets every row in turn to the normalized,
-  clipped Q-weighted sum of the others. X = V V^T is then feasible, and
-  often close to the optimum, though V >= 0 confines it to the completely
-  positive matrices. ADMM is run as Douglas-Rachford splitting on one
-  matrix, and after a warm-up, which ends early once both residuals reach
-  10 tol_obj, it also tries, at most once per 20 iterations, a safeguarded
-  semismooth Newton step on the map's fixed-point residual (Ali, Wong &
-  Kolter 2017), with the closed-form generalized Jacobian of the PSD
-  projection (Zhao, Sun & Toh 2010) and one cycle of an in-module GMRES
-  (Saad & Schultz 1986). The full step is backtracked along its direction
-  until it shrinks the residual enough, and dropped if no step size does;
-  the stop test is made on plain ADMM steps. The eigenpairs of the last PSD projection, rows normalized, give
-  the factor. When ADMM stopped early and that factor's V V^T has a
-  negative entry, the nonnegative start is returned instead, so the
-  solution stays in the relaxation's domain.
+  from the power step of the bipartition solver below clipped to the
+  nonnegative orthant: each step sets V to the row-normalized
+  max(0, (C0 + sigma I) V). X = V V^T is then feasible, and often close
+  to the optimum, though V >= 0 confines it to the completely positive
+  matrices. ADMM is run as Douglas-Rachford splitting on one matrix, and
+  after a warm-up, which ends early once both residuals reach 10 tol_obj,
+  it also tries, at most once per 20 iterations, a safeguarded semismooth
+  Newton step on the map's fixed-point residual (Ali, Wong & Kolter 2017),
+  with the closed-form generalized Jacobian of the PSD projection (Zhao,
+  Sun & Toh 2010) and one cycle of an in-module GMRES (Saad & Schultz
+  1986). The full step is backtracked along its direction until it
+  shrinks the residual enough, and dropped if no step size does; the stop
+  test is made on plain ADMM steps. The eigenpairs of the last PSD
+  projection, rows normalized, give the factor. When ADMM stopped early
+  and that factor's V V^T has a negative entry, the nonnegative start is
+  returned instead, so the solution stays in the relaxation's domain.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
   modularity over bipartitions. It is solved as X = V V^T with V of rank
@@ -70,9 +70,9 @@ __all__ = [
 ]
 
 
-# Seed of the mixing method's Gaussian start, so that a solve depends only
+# Seed of the Gaussian start of both ascents, so that a solve depends only
 # on its graph.
-_MIXING_SEED = 0
+_START_SEED = 0
 
 # ADMM's initial penalty (splitting step size); residual balancing retunes
 # it. From the warm start, 1 saves iterations on small graphs but needs
@@ -80,10 +80,11 @@ _MIXING_SEED = 0
 # 15.1k against 9.1k), whose solve dominates the full path's time.
 _INITIAL_PENALTY = 0.125
 
-# The nonnegative mixing method that starts ADMM stops when a sweep changes
-# its objective by at most this much, relative. Its tail is slow, so a
-# per-sweep change of tol_obj = 1e-6 leaves the start further from its
-# optimum: on the test corpus, ADMM then needs 1.5 times the iterations.
+# The clipped power steps that start ADMM stop when a step changes their
+# objective by at most this much, relative. On the test corpus's 68 graphs
+# 1e-6 leaves ADMM 1.16 times the iterations (4476 against 3872); 1e-12
+# saves 7% of them but takes 6 times the steps (102k against 16.6k), which
+# cost more time than the ADMM iterations saved.
 _START_TOL = 1e-9
 
 # The bipartition solver evaluates its dual bound (one eigvalsh) only when a
@@ -116,15 +117,12 @@ class SolverOptions:
     dual gap (bipartition) or the relative objective change (full) at
     convergence; ADMM also needs both residuals at most ``tol_obj / 40``.
     It must be finite and positive. ``max_iters``, a positive int, caps the
-    bipartition solver's power steps, the full solver's nonnegative mixing
-    sweeps (its warm start) and, separately, its ADMM iterations, so a full
-    solve can run up to twice that many steps; its ``iterations`` count
-    ADMM iterations only. A bipartition solve takes about 5 to 6 times as
-    many power steps as the mixing sweeps it took before them, each far
-    cheaper. The full solver's Newton
-    attempts, at most one per 20 ADMM iterations with up to four trial
-    eigendecompositions each, are not iterations: they add no row to the
-    solution's ``history``."""
+    bipartition solver's power steps, the full solver's clipped power steps
+    (its warm start) and, separately, its ADMM iterations, so a full solve
+    can run up to twice that many steps; its ``iterations`` count ADMM
+    iterations only. The full solver's Newton attempts, at most one per 20
+    ADMM iterations with up to four trial eigendecompositions each, are not
+    iterations: they add no row to the solution's ``history``."""
 
     tol_obj: float = 1e-6
     max_iters: int = 50000
@@ -420,38 +418,44 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     return factor, converged, bound, np.frombuffer(history).reshape(-1, 3)
 
 
-def _mixing_start(n: int) -> np.ndarray:
-    """The mixing method's seeded starting factor: n Gaussian unit rows of
+def _seeded_start(n: int) -> np.ndarray:
+    """The seeded starting factor of both ascents: n Gaussian unit rows of
     rank ceil(sqrt(2n)) + 1."""
     rank = math.ceil(math.sqrt(2 * n)) + 1
-    v = np.random.default_rng(_MIXING_SEED).standard_normal((n, rank))
+    v = np.random.default_rng(_START_SEED).standard_normal((n, rank))
     v /= np.linalg.norm(v, axis=1)[:, None]
     return v
 
 
-def _mixing_sweep(c: np.ndarray, v: np.ndarray) -> None:
-    """One sweep of the nonnegative mixing method, in place: in index
-    order, row i becomes g / |g| for g = max(0, sum_{j != i} c_ij v_j); a
-    row whose g is zero is left unchanged. Any other update maximizes
-    <c, V V^T> over row i alone among unit nonnegative rows."""
-    for c_row, c_ii, row in zip(c, np.diag(c), v):
-        g = c_row @ v
-        g -= c_ii * row
-        np.maximum(g, 0.0, out=g)
-        norm = math.sqrt(g @ g)
-        if norm > 0.0:
-            np.divide(g, norm, out=row)
+def _shifted(c: np.ndarray):
+    """(m, offset): m = C0 + sigma D is positive semidefinite for C0 = c off
+    its diagonal, sigma = max(0, -lambda_min(C0)) from one eigvalsh and D
+    the 0/1 diagonal of C0's nonzero rows, and <c, V V^T> = <m, V V^T> +
+    offset for unit rows V. An isolated vertex gets no shift, so its
+    product (m V)_i stays zero and ``_normalize_rows`` never moves it."""
+    n = c.shape[0]
+    m = c.copy()
+    m.flat[:: n + 1] = 0.0
+    sigma = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
+    moving = m.any(axis=1)
+    m.flat[:: n + 1] = sigma * moving
+    # sum_i (c_ii - sigma [i moves]) |v_i|^2, read with unit rows
+    offset = float(np.trace(c)) - sigma * int(moving.sum())
+    return m, offset
+
+
+def _normalize_rows(g: np.ndarray, v: np.ndarray) -> None:
+    """Write the rows of g, normalized, to v; where a row of g is zero, the
+    row of v is left unchanged."""
+    norm = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+    np.divide(g, norm, out=v, where=norm > 0.0)
 
 
 def _power_method(c: np.ndarray, opts: SolverOptions):
     """Maximize <c, (X+1)/2> over PSD X with unit diagonal as X = V V^T,
     by the generalized power method (Journee, Nesterov, Richtarik &
-    Sepulchre 2010): each step sets V <- rownormalize((C0 + sigma I) V),
-    one matrix product, where C0 is c with its diagonal zeroed and
-    sigma = max(0, -lambda_min(C0)), from one eigvalsh, makes C0 + sigma I
-    positive semidefinite, so that <c, V V^T> never decreases. A row whose
-    product is zero is left unchanged: an isolated vertex's row of C0 is
-    zero and gets no shift, so its row never moves.
+    Sepulchre 2010): each step sets V <- rownormalize(m V) for the m of
+    ``_shifted``, one matrix product, and never lowers <c, V V^T>.
 
     Returns (V, converged, upper_bound, history), the last with one row
     (objective, primal_res, gap) per step. A step's objective is read from
@@ -464,19 +468,10 @@ def _power_method(c: np.ndarray, opts: SolverOptions):
     times max(1, |objective|). The gap column holds the most recent
     measured gap, +inf before the first, so the last row's gap is always
     measured on the returned V."""
-    n = c.shape[0]
-    v = _mixing_start(n)
-    m = c.copy()
-    m.flat[:: n + 1] = 0.0
-    sigma = max(0.0, -float(np.linalg.eigvalsh(m)[0]))
-    # an isolated vertex's row of C0 is zero: unshifted, its product stays
-    # zero and its row is never moved
-    moving = m.any(axis=1)
-    m.flat[:: n + 1] = sigma * moving
+    v = _seeded_start(c.shape[0])
+    m, offset = _shifted(c)
     shift = float(c.sum())
-    # <c, V V^T> = <m, V V^T> + sum_i (c_ii - sigma [i moves]) |v_i|^2, read
-    # with unit rows
-    constant = float(np.trace(c)) - sigma * int(moving.sum()) + shift
+    constant = offset + shift
     bound = gap = np.inf
     converged = False
     history = array("d")
@@ -485,8 +480,7 @@ def _power_method(c: np.ndarray, opts: SolverOptions):
     obj_prev = (float(np.vdot(g, v)) + constant) / 2.0
 
     for it in range(1, opts.max_iters + 1):
-        norm = np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
-        np.divide(g, norm, out=v, where=norm > 0.0)
+        _normalize_rows(g, v)
         g = m @ v
         objective = (float(np.vdot(g, v)) + constant) / 2.0
         primal = float(np.abs(np.einsum("ij,ij->i", v, v) - 1.0).max())
@@ -506,35 +500,37 @@ def _power_method(c: np.ndarray, opts: SolverOptions):
     return v, converged, bound, np.frombuffer(history).reshape(-1, 3)
 
 
-def _nonneg_mixing(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    """Maximize <c, V V^T> over unit-row V >= 0 by the mixing method, so
-    that V V^T is feasible for the full relaxation. V >= 0 confines X to
-    the completely positive matrices, so this is a starting point for
-    ADMM, not a solve: it stops when a sweep changes <c, V V^T> by at most
-    ``_START_TOL`` relative, or after ``max_iters`` sweeps.
+def _nonneg_start(c: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """Maximize <c, V V^T> over unit-row V >= 0, so that V V^T is feasible
+    for the full relaxation, by ``_power_method``'s step clipped to the
+    nonnegative orthant: V <- rownormalize(max(0, m V)). As <m, V V^T> is
+    convex, each clipped row maximizes its linearization over unit rows
+    >= 0, so <c, V V^T> never decreases; the fixed points are those of the
+    nonnegative mixing method (Wang, Chang & Kolter 2017). V >= 0 confines
+    X to the completely positive matrices, so this starts ADMM and is no
+    solve: it stops when a step changes <c, V V^T> by at most
+    ``_START_TOL``, relative, or after ``max_iters`` steps.
 
-    A vertex whose row of c is zero (an isolated vertex) leaves the
-    objective unchanged wherever it goes, but its seeded row couples it to
-    the others, and ADMM is slow to settle those entries (13.8k against
-    0.7k iterations on a 7-vertex test graph). So it gets a coordinate of
-    its own, X_ij = 0 for j != i: ADMM's iterates then stay block diagonal
-    and never move that row."""
-    n = c.shape[0]
-    v = np.abs(_mixing_start(n))
-    obj_prev = None
+    An isolated vertex (a zero row of c) leaves the objective unchanged
+    wherever it goes, but its seeded row couples it to the others, and
+    ADMM is slow to settle those entries (1401 against 121 iterations on a
+    7-vertex test graph). So it gets a coordinate of its own, X_ij = 0 for
+    j != i: ADMM's iterates then stay block diagonal and never move it."""
+    v = np.abs(_seeded_start(c.shape[0]))
+    m, offset = _shifted(c)
+    g = m @ v
+    obj_prev = float(np.vdot(g, v)) + offset
     for _ in range(opts.max_iters):
-        _mixing_sweep(c, v)
-        obj = float(np.einsum("ij,ij->", c @ v, v))
-        if obj_prev is not None and abs(obj - obj_prev) <= _START_TOL * max(1.0, abs(obj)):
+        np.maximum(g, 0.0, out=g)
+        _normalize_rows(g, v)
+        g = m @ v
+        obj = float(np.vdot(g, v)) + offset
+        if abs(obj - obj_prev) <= _START_TOL * max(1.0, abs(obj)):
             break
         obj_prev = obj
-    isolated = np.flatnonzero(~c.any(axis=1))
-    if isolated.size:
-        v[isolated] = 0.0
-        own = np.zeros((n, isolated.size))
-        own[isolated, np.arange(isolated.size)] = 1.0
-        v = np.hstack([v, own])
-    return v
+    isolated = ~c.any(axis=1)
+    v[isolated] = 0.0
+    return np.hstack([v, np.eye(len(c))[:, isolated]])
 
 
 def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolution:
@@ -549,7 +545,7 @@ def solve_full_sdp(qm: QMatrix, opts: SolverOptions | None = None) -> SdpSolutio
     flagged converged=False; the caller decides what to do with it.
     """
     opts = opts or SolverOptions()
-    start = _nonneg_mixing(qm.entries, opts)
+    start = _nonneg_start(qm.entries, opts)
     factor, converged, bound, history = _admm(qm.entries, opts, start)
     gram = factor @ factor.T
     if not converged and gram.min() < 0.0:

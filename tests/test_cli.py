@@ -11,7 +11,7 @@ import modkit.cli
 from modkit.cli import main
 
 import fixtures
-from modkit import render_edge_list
+from modkit import render_edge_list, rounding
 
 TRI2 = "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n"
 K2 = "0 1\n"
@@ -116,11 +116,20 @@ class TestSolve:
                     main([command, "--input", tri2_file, "--format", fmt])
                 assert exc.value.code == 2
 
-    def test_out_of_range_seed_rejected(self, tri2_file, capsys):
-        assert main(["solve", "--input", tri2_file, "--seed", "-5"]) == 2
-        assert "seed" in capsys.readouterr().err
-        assert main(["solve", "--input", tri2_file,
-                     "--seed", str(2**64)]) == 2
+    def test_out_of_range_seed_rejected(self, tri2_file, capsys, monkeypatch):
+        # the CLI rejects a seed by the library's own check and message,
+        # before any solving
+        def never(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(modkit.cli, "solve_full_sdp", never)
+        monkeypatch.setattr(modkit.cli, "solve_cut_sdp", never)
+        for seed in (-5, 2**64):
+            with pytest.raises(ValueError) as exc:
+                rounding._checked_seed(seed)
+            for command in ("solve", "cut"):
+                assert main([command, "--input", tri2_file, "--seed", str(seed)]) == 2
+                assert str(exc.value) in capsys.readouterr().err
 
     def test_entropy_flag_changes_seed(self, k2_file, tmp_path):
         out_a = tmp_path / "a.json"

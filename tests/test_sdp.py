@@ -199,6 +199,83 @@ class TestFullSolve:
         assert min_eig >= -1e-9
 
 
+class TestNonnegStart:
+    # the full solver's warm start steps V <- rownormalize(max(0, m V)) for
+    # the shifted m of the power method, and gives an isolated vertex a
+    # coordinate of its own
+
+    GRAPHS = fixtures.named_fixtures() + fixtures.random_corpus()
+
+    @staticmethod
+    def start(qm, max_iters=None):
+        opts = SolverOptions() if max_iters is None else SolverOptions(max_iters=max_iters)
+        return sdp._nonneg_start(qm.entries, opts)
+
+    @staticmethod
+    def objective(qm, v):
+        return float(np.vdot(qm.entries, v @ v.T))
+
+    def test_rows_unit_and_nonnegative(self):
+        for name, g in self.GRAPHS:
+            v = self.start(build_q(g))
+            assert v.min() >= 0.0, name
+            assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-15, name
+
+    def test_capped_start_is_a_prefix(self, monkeypatch):
+        # record V after every step of the uncapped start; a start capped at
+        # k steps is the k-th of them, to the bit, on the rows that move
+        steps = []
+        normalize = sdp._normalize_rows
+
+        def recording(g, v):
+            normalize(g, v)
+            steps.append(v.copy())
+
+        monkeypatch.setattr(sdp, "_normalize_rows", recording)
+        for name, g in self.GRAPHS:
+            qm = build_q(g)
+            steps.clear()
+            full = self.start(qm)
+            trajectory = list(steps)
+            moving = np.flatnonzero(qm.entries.any(axis=1))
+            rank = trajectory[0].shape[1]
+            assert np.array_equal(full[moving, :rank], trajectory[-1][moving]), name
+            for k in (1, 2, 3, 5, 8, 13, 21, 34, 55):
+                capped = self.start(qm, k)
+                step = trajectory[min(k, len(trajectory)) - 1]
+                assert np.array_equal(capped[moving, :rank], step[moving]), (name, k)
+            assert np.array_equal(self.start(qm, len(trajectory)), full), name
+
+    def test_objective_never_decreases(self):
+        # m is positive semidefinite, so each clipped step raises <Q, V V^T>;
+        # the values differ from that only by rounding
+        for name, g in self.GRAPHS:
+            qm = build_q(g)
+            values = [self.objective(qm, self.start(qm, 2**e)) for e in range(7)]
+            assert np.diff(values).min() >= -1e-15, (name, values)
+
+    @pytest.mark.parametrize("name, graph, ceiling", [
+        # triangle 0-1-2 with a pendant 3, and the two-triangle bridge, each
+        # plus an isolated vertex: 23 and 17 iterations; rand05 (vertex 2
+        # isolated) takes 121, and 1401 without a coordinate of its own
+        ("tri_pendant", Graph(n=5, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+                                          (2, 3, 1.0)), variant="undirected"), 50),
+        ("bridge", Graph(n=7, edges=fixtures.two_triangle_bridge().edges,
+                         variant="undirected"), 50),
+        ("rand05", dict(fixtures.random_corpus())["rand05"], 250),
+    ])
+    def test_isolated_vertex_keeps_its_own_coordinate(self, name, graph, ceiling):
+        qm = build_q(graph)
+        isolated = np.flatnonzero(~qm.entries.any(axis=1))
+        assert isolated.size == 1
+        sol = solve_full_sdp(qm)
+        assert sol.converged
+        assert sol.iterations <= ceiling
+        x = sol.factor @ sol.factor.T
+        i = int(isolated[0])
+        assert np.abs(np.delete(x[i], i)).max() <= 1e-12
+
+
 class TestNewtonSteps:
     # ADMM also tries semismooth Newton steps on its fixed-point residual
     # F(t) = B(t) - P+(2 B(t) - t + c / rho); attempts are not iterations
@@ -603,7 +680,7 @@ class TestPowerStep:
         g = Graph(n=6, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)),
                   variant="undirected")
         qm = build_q(g)
-        start = sdp._mixing_start(g.n)
+        start = sdp._seeded_start(g.n)
         for max_iters in (1, 2, 10, None):
             opts = SolverOptions() if max_iters is None else SolverOptions(max_iters=max_iters)
             sol = solve_cut_sdp(qm, opts)
@@ -686,7 +763,7 @@ class TestReportedBoundIsSound:
 
 class TestGramVectors:
     # the full solver's factor comes from the eigenpairs of ADMM's last PSD
-    # projection, the bipartition solver's from the mixing method; the
+    # projection, the bipartition solver's from the power method; the
     # rounding cuts either as it is
 
     @pytest.mark.parametrize("name", [name for name, _ in fixtures.named_fixtures()])
