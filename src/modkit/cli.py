@@ -28,7 +28,7 @@ from . import bounds
 from .exact import CUT_LIMIT, FULL_LIMIT, exact_cut, exact_full
 from .graph import VARIANTS, GraphFormatError, parse_edge_list
 from .modularity import build_q
-from .rounding import _checked_seed, round_cut, round_full
+from .rounding import _checked_seed, _checked_trials, round_cut, round_full
 from .sdp import SolverOptions, solve_cut_sdp, solve_full_sdp
 
 EXIT_OK = 0
@@ -141,8 +141,7 @@ def _run_rounding_command(args) -> int:
     # so that they, or an output or log path, fail before the solve instead
     # of after it
     seed = _resolve_seed(args)
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
+    _checked_trials(args.trials)
     files = [path for path in (args.output, args.iterate_log) if path not in (None, "-")]
     if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
         raise ValueError("--output and --iterate-log must name different files")

@@ -20,7 +20,6 @@ certified over.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,49 +199,20 @@ def _reach(q: np.ndarray) -> np.ndarray:
     return np.append(np.cumsum(gain[::-1])[::-1], 0.0) + _filter_margin(q)
 
 
-@functools.cache
-def _completions(n: int, labels: int) -> np.ndarray:
-    """table[d, j]: how many restricted-growth strings of length n with at
-    most ``labels`` labels extend one prefix of length d that uses j
-    labels, for the j <= d that such a prefix can use. None exceeds
-    table[0, 0], the number of all the strings, so the table is int64
-    unless that count is not. Read-only, and shared by every call with
-    the same arguments."""
-    table = [[1] * (labels + 1) for _ in range(n + 1)]
-    for d in range(n - 1, -1, -1):
-        # j labels stay j, and a new label makes j + 1 while below the cap
-        table[d] = [j * table[d + 1][j] + (table[d + 1][j + 1] if j < labels else 0)
-                    if j <= d else 0 for j in range(labels + 1)]
-    table = np.array(table, np.int64 if table[0][0] < 1 << 63 else object)
-    table.setflags(write=False)
-    return table
-
-
-def _places(codes: np.ndarray, labels: int) -> np.ndarray:
-    """The place of each row of ``codes``, restricted-growth strings with
-    at most ``labels`` labels, in the lexicographic order of all of them:
-    label x_d of vertex d has x_d earlier siblings, each heading
-    table[d + 1, j] strings, where j is the number of labels before d."""
-    n = codes.shape[1]
-    table = _completions(n, labels)
-    used = np.maximum.accumulate(codes[:, :-1], axis=1) + 1
-    return (codes[:, 1:] * table[np.arange(2, n + 1), used]).sum(1)
-
-
-def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int):
+def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int, strings: int):
     """The restricted-growth strings of at most ``labels`` labels that may
-    be the first best, in (numbers, codes, scores) blocks for
-    ``first_best``: each string whose incremental score is at least the
-    greatest so far less the filter margin, numbered by its place in the
-    enumeration of all of them and re-scored by ``code_scores``. The
-    strings dropped score strictly below some other string, so the first
-    best of all and its bits survive.
+    be the first best, in (codes, scores) blocks for ``first_best``, in
+    enumeration order: each string whose incremental score is at least the
+    greatest so far less the filter margin, re-scored by ``code_scores``.
+    The strings dropped score strictly below some other string, so the
+    first best of all and its bits survive.
 
-    A search of more than ``rows`` strings is bounded: the greatest score
+    ``strings`` is how many strings there are, Bell(n) or 2**(n-1). A
+    search of more than ``rows`` of them is bounded: the greatest score
     starts at ``_dive``'s, and a subtree that cannot reach the threshold
     is not expanded, its strings being ones the threshold drops. A
-    smaller search takes one chunk per level whatever is pruned, so it
-    neither dives nor prunes.
+    smaller search takes one chunk, one ``_children`` call, per level
+    whatever is pruned, so it neither dives nor prunes.
 
     The strings run over the vertices in order for ``step`` 1 and in
     reverse for -1. Codes come back in vertex order and are scored against
@@ -250,9 +220,7 @@ def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int):
     """
     q = qm.entries[::step, ::step]
     margin = _filter_margin(q)
-    # at most `rows` strings take one chunk, one _children call, per level
-    # whatever is pruned: only a larger search dives and prunes
-    bounded = _completions(len(q), labels)[0, 0] > rows
+    bounded = strings > rows
     best = _dive(q, labels)[1] if bounded else -np.inf
 
     def floor():
@@ -263,8 +231,8 @@ def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int):
         best = max(best, score.max())
         keep = np.flatnonzero(score >= best - margin)
         if keep.size:
-            codes = np.column_stack([prefixes[parent[keep]], label[keep]])
-            yield _places(codes, labels), codes[:, ::step], code_scores(qm, codes[:, ::step])
+            codes = np.column_stack([prefixes[parent[keep]], label[keep]])[:, ::step]
+            yield codes, code_scores(qm, codes)
 
 
 def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
@@ -277,8 +245,9 @@ def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
             f"n={n} exceeds the enumeration limit {limit} "
             f"(Bell({n}) = {bell_number(n)} partitions)"
         )
-    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, n, 1))
-    return ExactResult(score, Partition.from_labels(codes), bell_number(n))
+    strings = bell_number(n)
+    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, n, 1, strings))
+    return ExactResult(score, Partition.from_labels(codes), strings)
 
 
 def exact_cut(qm: QMatrix, limit: int = CUT_LIMIT) -> ExactResult:
@@ -292,5 +261,6 @@ def exact_cut(qm: QMatrix, limit: int = CUT_LIMIT) -> ExactResult:
             f"n={n} exceeds the enumeration limit {limit} "
             f"(2**{n - 1} = {2 ** (n - 1)} bipartitions)"
         )
-    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, 2, -1))
-    return ExactResult(score, Partition.from_labels(codes), 1 << (n - 1))
+    strings = 1 << (n - 1)
+    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, 2, -1, strings))
+    return ExactResult(score, Partition.from_labels(codes), strings)

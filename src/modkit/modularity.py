@@ -164,15 +164,18 @@ def code_scores(qm: QMatrix, codes: np.ndarray) -> np.ndarray:
 
 def first_best(blocks) -> tuple[int, np.ndarray, float]:
     """(number, codes, score) of the first row with the greatest score in
-    ``blocks`` of (numbers, codes, scores), ``numbers`` giving each row's
-    place in the search order, rising within and across blocks. The one
-    search behind every best partition of the package."""
+    ``blocks`` of (codes, scores), ``number`` being the row's position
+    among all the rows given, counted from 0 across the blocks in order.
+    A tie keeps the earlier row, and ``codes`` is a copy. The one search
+    behind every best partition of the package."""
     best = None
-    for numbers, codes, scores in blocks:
+    start = 0
+    for codes, scores in blocks:
         # argmax keeps a block's first top score; a later block must beat it
         i = int(np.argmax(scores))
         if best is None or scores[i] > best[2]:
-            best = (int(numbers[i]), codes[i].copy(), float(scores[i]))
+            best = (start + i, codes[i].copy(), float(scores[i]))
+        start += len(scores)
     return best
 
 

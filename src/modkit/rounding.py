@@ -15,9 +15,9 @@ of the (256, k, r) standard-normal array, r the factor's column count, that
 the Philox stream with key s and counter (0, 0, 0, floor(t / 256)) draws.
 A draw of fewer rows gives the first rows of that array, bit for bit, so
 a partial block draws only the rows it needs. Best-of-trials runs make one
-draw per 256 trials and score the trials in blocks sized by n, which may
-straddle two draws; since each trial's draws depend only on (s, t), the
-outcome does not depend on the scoring block size.
+draw per 256 trials and score each draw in whole blocks, a power of two
+sized by n that never straddles two draws; since each trial's draws depend
+only on (s, t), the outcome does not depend on the scoring block size.
 """
 
 from __future__ import annotations
@@ -50,10 +50,12 @@ CUT_ERROR_BUDGET = 0.16598
 _TIE_TOL = 1e-12
 
 # Trials draw their directions _TRIAL_BLOCK at a time, one Philox stream per
-# block. Best-of-trials rounding scores _TRIAL_BLOCK trials at once, or as
-# many as keep a block's same-cluster mask, one byte per vertex pair and
-# trial, within _TRIAL_BYTES, and at least one: all 256 up to n = 181, 5 at
-# n = 1200. So memory grows with neither the trial count nor trials * n**2.
+# block. Best-of-trials rounding scores them in blocks of the largest power
+# of two, at most _TRIAL_BLOCK, whose same-cluster mask, one byte per vertex
+# pair and trial, fits within _TRIAL_BYTES, or of one trial: all 256 up to
+# n = 181, 4 at n = 1200. Such a block divides _TRIAL_BLOCK, so every draw
+# splits into whole blocks, and memory grows with neither the trial count
+# nor trials * n**2.
 _TRIAL_BLOCK = 256
 _TRIAL_BYTES = 8 << 20
 
@@ -113,6 +115,15 @@ def _checked_seed(seed) -> int:
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
     return seed
+
+
+def _checked_trials(trials) -> int:
+    """``trials`` as a Python int, if it is one that ``modkit --trials``
+    accepts: at least 1."""
+    trials = _as_int("trials", trials)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    return trials
 
 
 def _trial_rng(seed: int, block: int) -> np.random.Generator:
@@ -184,37 +195,31 @@ def hyperplane_round(
 
 def _trial_blocks(qm, vectors, k, trials, seed):
     """Round trials 0..trials-1 as ``hyperplane_round(qm, vectors, k, seed,
-    trial)`` would, in blocks of at most ``_TRIAL_BLOCK`` and at most
-    ``_TRIAL_BYTES`` of same-cluster mask.
+    trial)`` would, in order, in blocks of a power of two trials, at most
+    ``_TRIAL_BLOCK`` and at most ``_TRIAL_BYTES`` of same-cluster mask.
 
-    Yields each block's trial numbers, its cluster codes (one row per
-    trial, one integer per vertex; equal codes share a cluster) and their
-    ``code_scores``, the same bits as each trial's ``hyperplane_round``
-    score. The directions come from one draw per ``_TRIAL_BLOCK`` trials,
-    and a scoring block may straddle two draws.
+    Yields each block's cluster codes (one row per trial, one integer per
+    vertex; equal codes share a cluster) and their ``code_scores``, the
+    same bits as each trial's ``hyperplane_round`` score. The directions
+    come from one draw per ``_TRIAL_BLOCK`` trials, which splits into whole
+    blocks; only the last block of the last draw may be short.
     """
-    draws = _trial_draws(seed, k, vectors.shape[1], trials)
-    left = np.empty((0, k, vectors.shape[1]))  # drawn, not yet scored
+    fit = max(1, min(_TRIAL_BLOCK, _TRIAL_BYTES // qm.graph.n ** 2))
+    size = 1 << (fit.bit_length() - 1)
     bits = 1 << np.arange(k)
-    block = max(1, min(_TRIAL_BLOCK, _TRIAL_BYTES // qm.graph.n ** 2))
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        if len(left) < size:
-            # block <= _TRIAL_BLOCK, so the next draw covers the rest
-            left = np.concatenate([left, next(draws)])
-        dirs, left = left[:size], left[size:]
-        # one matrix product per trial, the same one hyperplane_round makes
-        signs = (vectors @ dirs.transpose(0, 2, 1)) >= 0.0
-        # a vertex's k sign bits as one integer: its cluster code
-        codes = signs @ bits
-        yield np.arange(start, start + size), codes, code_scores(qm, codes)
+    for draw in _trial_draws(seed, k, vectors.shape[1], trials):
+        for start in range(0, len(draw), size):
+            dirs = draw[start:start + size]
+            # one matrix product per trial, the same one hyperplane_round makes
+            signs = (vectors @ dirs.transpose(0, 2, 1)) >= 0.0
+            # a vertex's k sign bits as one integer: its cluster code
+            codes = signs @ bits
+            yield codes, code_scores(qm, codes)
 
 
 def _best_of_trials(qm, vectors, k, trials, seed):
     """The first of trials 0..trials-1 with the greatest score, each trial
     as ``hyperplane_round(qm, vectors, k, seed, trial)`` would round it."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     trial, codes, score = first_best(_trial_blocks(qm, vectors, k, trials, seed))
     return RoundingOutcome(Partition.from_labels(codes), score, k, (seed, trial))
 
@@ -222,8 +227,8 @@ def _best_of_trials(qm, vectors, k, trials, seed):
 def round_full(
     qm: QMatrix, sol: SdpSolution, trials: int, seed: int
 ) -> tuple[RoundingOutcome, GuaranteeReport]:
-    """Best of ``trials`` adaptive-count hyperplane roundings, trials
-    0..trials-1 of ``seed``, an int from 0 to 2**64 - 1.
+    """Best of ``trials`` (an int, at least 1) adaptive-count hyperplane
+    roundings, trials 0..trials-1 of ``seed``, an int from 0 to 2**64 - 1.
 
     The report carries the expectation floor q * (f_k(z+) + h_k(-z-)) and
     the additive certificate relaxation_value - q * g_k(z+), both at the
@@ -234,6 +239,7 @@ def round_full(
     if sol.kind != "full":
         raise ValueError("round_full needs a full-relaxation solution")
     seed = _checked_seed(seed)
+    trials = _checked_trials(trials)
     z_plus = float(np.clip(sol.z_plus, 0.0, 1.0))
     z_minus = float(np.clip(sol.z_minus, -1.0, 0.0))
     k_star = select_k_star(z_plus, qm.graph.n)
@@ -263,8 +269,8 @@ def round_full(
 def round_cut(
     qm: QMatrix, sol: SdpSolution, trials: int, seed: int
 ) -> tuple[RoundingOutcome, GuaranteeReport]:
-    """Best of ``trials`` single-hyperplane bipartitions, trials
-    0..trials-1 of ``seed``, an int from 0 to 2**64 - 1.
+    """Best of ``trials`` (an int, at least 1) single-hyperplane
+    bipartitions, trials 0..trials-1 of ``seed``, an int from 0 to 2**64 - 1.
 
     The report carries the envelope floor p+(2z+ - 1) + p-(-1 - 2z-) and
     the additive certificate relaxation_value - 0.16598. A draw that leaves
@@ -274,6 +280,7 @@ def round_cut(
     if sol.kind != "cut":
         raise ValueError("round_cut needs a bipartition-relaxation solution")
     seed = _checked_seed(seed)
+    trials = _checked_trials(trials)
     best = _best_of_trials(qm, gram_vectors(sol), 1, trials, seed)
 
     plus_arg = float(np.clip(2.0 * sol.z_plus - 1.0, -1.0, 1.0))

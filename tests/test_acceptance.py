@@ -198,7 +198,7 @@ def test_c04_full_expectation_floors(solved_full):
         g, qm, sol, _ = by_name[name]
         k_star = select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.graph.n)
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, sol.factor, k_star, 10_000, seed=2024)]
+            [s for _, s in _trial_blocks(qm, sol.factor, k_star, 10_000, seed=2024)]
         )
         _, rep = round_full(qm, sol, trials=1, seed=2024)
         slack = 3.0 * scores.std(ddof=1) / 100.0
@@ -239,7 +239,7 @@ def test_c05_cut_expectation_floors(solved_cut):
     for name in FLOOR_FIXTURES_CUT:
         g, qm, sol, _ = by_name[name]
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, sol.factor, 1, 10_000, seed=909)]
+            [s for _, s in _trial_blocks(qm, sol.factor, 1, 10_000, seed=909)]
         )
         _, rep = round_cut(qm, sol, trials=1, seed=909)
         slack = 3.0 * scores.std(ddof=1) / 100.0

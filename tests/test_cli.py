@@ -153,14 +153,20 @@ class TestSolve:
             assert "modkit: error:" in capsys.readouterr().err
             assert not log.exists()
 
-    def test_zero_trials_rejected_before_solve(self, k2_file, tmp_path, capsys):
+    def test_zero_trials_rejected_before_solve(self, k2_file, tmp_path, capsys, monkeypatch):
+        # the library's check, with the message the CLI has always printed
+        def never(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(modkit.cli, "solve_full_sdp", never)
+        monkeypatch.setattr(modkit.cli, "solve_cut_sdp", never)
         out = tmp_path / "r.json"
         log = tmp_path / "log.csv"
         for command in ("solve", "cut"):
             code = main([command, "--input", k2_file, "--trials", "0",
                          "--output", str(out), "--iterate-log", str(log)])
             assert code == 2
-            assert "trials must be at least 1" in capsys.readouterr().err
+            assert capsys.readouterr().err == "modkit: error: trials must be at least 1\n"
             assert not log.exists()
             assert not out.exists()
 

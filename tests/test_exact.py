@@ -13,8 +13,7 @@ from modkit import (
     solve_full_sdp,
 )
 from modkit import exact
-from modkit.exact import (_completions, _dive, _filter_margin, _places, _rgs_blocks, _rgs_leaves,
-                          bell_number)
+from modkit.exact import _dive, _filter_margin, _rgs_blocks, _rgs_leaves, bell_number
 from modkit.modularity import Partition, code_scores
 
 import fixtures
@@ -32,6 +31,13 @@ def _set_partitions(n):
 def _bipartitions(n):
     """Every unordered bipartition of range(n), vertex n-1 on side 0."""
     return [[(mask >> v) & 1 for v in range(n)] for mask in range(2 ** (n - 1))]
+
+
+def _kept_places(plain, blocks):
+    """The place in ``plain``, an enumeration as lists of labels, of each
+    row of the (codes, scores) ``blocks``, in the order the blocks give."""
+    place = {tuple(row): i for i, row in enumerate(plain)}
+    return [place[tuple(row)] for codes, _ in blocks for row in codes.tolist()]
 
 
 def _score(q, labels):
@@ -175,12 +181,9 @@ class TestAgainstPlainEnumeration:
                     rows = np.concatenate([np.column_stack([prefixes[parent], label])
                                            for prefixes, parent, label, _ in chunks])
                     assert rows[:, ::step].tolist() == want, (n, labels, budget)
-                    # after it: rows numbered by their place in that order
-                    blocks = list(_rgs_blocks(qm, budget, labels, step))
-                    numbers = np.concatenate([k for k, _, _ in blocks])
-                    assert (np.diff(numbers) > 0).all(), (n, labels, budget)
-                    for k, codes, _ in blocks:
-                        assert codes.tolist() == [want[i] for i in k], (n, labels, budget)
+                    # after it: the rows kept, each once and in that order
+                    places = _kept_places(want, _rgs_blocks(qm, budget, labels, step, len(want)))
+                    assert (np.diff(places) > 0).all(), (n, labels, budget)
 
 
 class TestBlockSizeInvariance:
@@ -242,8 +245,15 @@ class TestIncrementalFilter:
             res = search(qm)
             assert res.opt_partition == Partition.from_labels(rows[first]), budget
             assert res.opt_value == scores[first], budget
-            kept = sum(len(k) for k, _, _ in _rgs_blocks(qm, budget, labels, step))
+            kept = sum(len(s) for _, s in _rgs_blocks(qm, budget, labels, step, len(rows)))
             assert kept >= ties, budget
+
+
+def _keys(codes):
+    """Each row of ``codes`` as one integer, its labels read as base-16
+    digits, so that rows of labels below 16 sort lexicographically as
+    their keys sort."""
+    return codes.astype(np.int64) @ 16 ** np.arange(codes.shape[1] - 1, -1, -1)
 
 
 def _every_string(q, labels):
@@ -266,22 +276,26 @@ class TestBranchAndBound:
     def test_keeps_every_string_near_the_best(self, oracle):
         for name, g in self.GRAPHS:
             qm = build_q(g)
-            labels, step = (g.n, 1) if oracle == "full" else (2, -1)
+            labels, step, count = ((g.n, 1, bell_number(g.n)) if oracle == "full"
+                                   else (2, -1, 2 ** (g.n - 1)))
             q = qm.entries[::step, ::step]
             codes, score = _every_string(q, labels)
-            assert (_places(codes, labels) == np.arange(len(codes))).all(), name
+            keys = _keys(codes)
+            # every string once, in lexicographic order
+            assert len(keys) == count and (np.diff(keys) > 0).all(), name
             floor = score.max() - _filter_margin(q)
-            near = {int(k): codes[k, ::step].tolist() for k in np.flatnonzero(score >= floor)}
+            near = keys[score >= floor]
             # the blocks, bounded at a budget of one string and not at n
             for rows in (1, g.n):
-                kept = {int(k): row for numbers, rows_codes, _ in _rgs_blocks(qm, rows, labels, step)
-                        for k, row in zip(numbers, rows_codes.tolist())}
-                assert near.items() <= kept.items(), (name, rows)
+                kept = np.concatenate([_keys(c[:, ::step])
+                                       for c, _ in _rgs_blocks(qm, rows, labels, step, count)])
+                assert (np.diff(kept) > 0).all(), (name, rows)
+                assert np.isin(near, kept).all(), (name, rows)
             # the enumeration at the highest floor the margin allows
             reached = [np.column_stack([p[parent], label])
                        for p, parent, label, _ in _rgs_leaves(q, exact._ROWS, labels, lambda: floor)]
             reached = np.concatenate(reached)
-            assert near.keys() <= set(_places(reached, labels).tolist()), name
+            assert np.isin(near, _keys(reached)).all(), name
             if g.n >= 10:
                 assert len(reached) < len(codes) // 10, name
 
@@ -291,18 +305,8 @@ class TestBranchAndBound:
                 q = build_q(g).entries[::step, ::step]
                 codes, score = _every_string(q, labels)
                 dive, dive_score = _dive(q, labels)
-                k = int(_places(dive[None], labels)[0])
-                assert codes[k].tolist() == dive.tolist(), (name, labels)
+                k, = np.flatnonzero((codes == dive).all(1))
                 assert score[k].hex() == dive_score.hex(), (name, labels)
-
-    def test_completions_count_every_string(self):
-        for n in range(1, 13):
-            assert _completions(n, n)[0, 0] == bell_number(n)
-            assert _completions(n, 2)[0, 0] == 2 ** (n - 1)
-        # counts past int64 stay exact
-        assert _completions(62, 2).dtype == np.int64
-        assert _completions(64, 2)[0, 0] == 2 ** 63
-        assert _completions(30, 30)[0, 0] == bell_number(30)
 
 
 def test_rounding_at_the_optimum_reports_its_bits():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modkit import Partition, build_q, degrees, modularity
+from modkit.modularity import first_best
 
 import fixtures
 
@@ -211,3 +212,43 @@ class TestQSplit:
     def test_star_positive_mass(self):
         qm = build_q(fixtures.star_graph(3))
         assert qm.q_mass == pytest.approx(0.5, abs=1e-12)
+
+
+class TestFirstBest:
+    """first_best numbers each row by its position among all rows given,
+    keeps the first of equal scores and returns its own copy of the row."""
+
+    @staticmethod
+    def _blocks(*scores):
+        # row i of the whole sequence has codes [i, i]
+        start = 0
+        for block in scores:
+            numbers = np.arange(start, start + len(block))
+            yield np.column_stack([numbers, numbers]), np.array(block, float)
+            start += len(block)
+
+    def test_number_is_the_position_across_uneven_blocks(self):
+        number, codes, score = first_best(self._blocks([0.1], [0.2, 0.5, 0.3], [0.4, 0.0]))
+        assert (number, codes.tolist(), score) == (2, [2, 2], 0.5)
+        number, _, score = first_best(self._blocks([0.1, 0.2], [0.3], [0.0, 0.0, 0.9]))
+        assert (number, score) == (5, 0.9)
+
+    def test_a_tie_in_a_block_keeps_the_earlier_row(self):
+        number, codes, _ = first_best(self._blocks([0.1, 0.7, 0.2, 0.7]))
+        assert number == 1 and codes.tolist() == [1, 1]
+
+    def test_a_later_block_wins_only_on_a_greater_score(self):
+        assert first_best(self._blocks([0.1, 0.7], [0.7, 0.2]))[0] == 1
+        assert first_best(self._blocks([0.1, 0.7], [0.2, np.nextafter(0.7, 1.0)]))[0] == 3
+
+    def test_codes_are_a_copy(self):
+        first = np.array([[1, 2], [3, 4]])
+        blocks = [(first, np.array([0.9, 0.1])), (np.array([[5, 6]]), np.array([0.5]))]
+
+        def overwritten():
+            for codes, scores in blocks:
+                yield codes, scores
+                codes[:] = -1  # a producer may reuse its buffer
+
+        _, codes, _ = first_best(overwritten())
+        assert codes.tolist() == [1, 2]

@@ -115,6 +115,18 @@ class TestHyperplaneRound:
         with pytest.raises(error):
             round_cut(qm, cut, trials=5, seed=seed)
 
+    @pytest.mark.parametrize("trials, error", [
+        (True, TypeError), (2.0, TypeError), (0, ValueError),
+    ])
+    def test_rejects_bad_trials(self, trials, error):
+        # the trial counts `modkit --trials` accepts, from both round_*
+        qm = build_q(fixtures.cycle_graph(4))
+        full, cut = solve_full_sdp(qm), solve_cut_sdp(qm)
+        with pytest.raises(error):
+            round_full(qm, full, trials=trials, seed=0)
+        with pytest.raises(error):
+            round_cut(qm, cut, trials=trials, seed=0)
+
     def test_numpy_int_seed_reported_as_int(self):
         qm = build_q(fixtures.cycle_graph(4))
         sol = solve_full_sdp(qm)
@@ -122,8 +134,9 @@ class TestHyperplaneRound:
         out = hyperplane_round(qm, sol.factor, 2, seed=np.uint64(last), trial=3)
         assert out.trial_seed == (last, 3) and type(out.trial_seed[0]) is int
         assert out == hyperplane_round(qm, sol.factor, 2, seed=last, trial=3)
-        best, report = round_full(qm, sol, trials=5, seed=np.uint64(last))
+        best, report = round_full(qm, sol, trials=np.int64(5), seed=np.uint64(last))
         assert type(report.seed) is int and type(best.trial_seed[0]) is int
+        assert type(report.trials) is int
         assert (best, report) == round_full(qm, sol, trials=5, seed=last)
 
     def test_separation_law_pi_third_two_planes(self):
@@ -134,7 +147,7 @@ class TestHyperplaneRound:
         trials = 100_000
         together = sum(
             int((codes[:, 0] == codes[:, 1]).sum())
-            for _, codes, _ in _trial_blocks(qm, vecs, 2, trials, seed=123)
+            for codes, _ in _trial_blocks(qm, vecs, 2, trials, seed=123)
         )
         assert together / trials == pytest.approx(4.0 / 9.0, abs=0.01)
 
@@ -186,7 +199,7 @@ class TestRoundFull:
         vectors = sol.factor
         k_star = select_k_star(float(np.clip(sol.z_plus, 0, 1)), qm.graph.n)
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, vectors, k_star, 10_000, seed=2024)]
+            [s for _, s in _trial_blocks(qm, vectors, k_star, 10_000, seed=2024)]
         )
         _, report = round_full(qm, sol, trials=1, seed=2024)
         slack = 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
@@ -235,7 +248,7 @@ class TestRoundCut:
         sol = solve_cut_sdp(qm)
         vectors = sol.factor
         scores = np.concatenate(
-            [s for _, _, s in _trial_blocks(qm, vectors, 1, 10_000, seed=77)]
+            [s for _, s in _trial_blocks(qm, vectors, 1, 10_000, seed=77)]
         )
         _, report = round_cut(qm, sol, trials=1, seed=77)
         slack = 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
@@ -295,6 +308,19 @@ def _relaxed(name, kind):
     return qm, sol, sol.factor
 
 
+def _same_trials(qm, vectors, k, blocks, trials):
+    """The (codes, scores) ``blocks`` round trials 0..trials-1 of seed 5
+    as ``hyperplane_round`` does, each score with the same bits."""
+    codes = np.concatenate([c for c, _ in blocks])
+    scores = np.concatenate([s for _, s in blocks])
+    assert codes.shape == (trials, qm.graph.n)
+    for t in range(trials):
+        want = hyperplane_round(qm, vectors, k, seed=5, trial=t)
+        assert Partition.from_labels(codes[t]) == want.partition
+        # one scorer: the same bits in a block as for one trial
+        assert scores[t] == want.score
+
+
 class TestBatchedMatchesPerTrial:
     @pytest.mark.parametrize(
         "name, kind", [(name, "full") for name in FIXTURES] + [("c4", "cut")]
@@ -313,16 +339,8 @@ class TestBatchedMatchesPerTrial:
         trials = _TRIAL_BLOCK + 44
         for k in (1, 2, 3, 4):
             blocks = list(_trial_blocks(qm, vectors, k, trials, seed=5))
-            assert [numbers.tolist() for numbers, _, _ in blocks] == [
-                list(range(_TRIAL_BLOCK)), list(range(_TRIAL_BLOCK, trials))]
-            codes = np.concatenate([c for _, c, _ in blocks])
-            scores = np.concatenate([s for _, _, s in blocks])
-            assert codes.shape == (trials, qm.graph.n)
-            for t in range(trials):
-                want = hyperplane_round(qm, vectors, k, seed=5, trial=t)
-                assert Partition.from_labels(codes[t]) == want.partition
-                # one scorer: the same bits in a block as for one trial
-                assert scores[t] == want.score
+            assert [len(c) for c, _ in blocks] == [_TRIAL_BLOCK, 44]
+            _same_trials(qm, vectors, k, blocks, trials)
 
     def test_byte_budget_sizes_the_blocks(self, monkeypatch):
         # a block's mask may take _TRIAL_BYTES, one byte per vertex pair
@@ -330,13 +348,27 @@ class TestBatchedMatchesPerTrial:
         qm, _, vectors = _relaxed("petersen", "full")
         pairs = qm.graph.n ** 2
         want = {k: _best_of_trials(qm, vectors, k, 300, seed=5) for k in (1, 3)}
-        for budget, size in ((1, 1), (7 * pairs + 1, 7), (10**9, _TRIAL_BLOCK)):
+        # the largest power of two within the budget: 7 blocks' worth makes 4
+        for budget, size in ((1, 1), (7 * pairs + 1, 4), (10**9, _TRIAL_BLOCK)):
             monkeypatch.setattr(rounding, "_TRIAL_BYTES", budget)
             for k in (1, 3):
                 blocks = list(_trial_blocks(qm, vectors, k, 300, seed=5))
-                sizes = [len(numbers) for numbers, _, _ in blocks]
+                sizes = [len(codes) for codes, _ in blocks]
                 assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
                 _same_outcome(_best_of_trials(qm, vectors, k, 300, seed=5), want[k])
+
+    def test_blocks_tile_the_draws(self, monkeypatch):
+        # a block of a power of two trials divides a draw of 256, so no
+        # block spans two draws, and every trial is the one it would be alone
+        qm, _, vectors = _relaxed("petersen", "full")
+        monkeypatch.setattr(rounding, "_TRIAL_BYTES", 7 * qm.graph.n ** 2 + 1)
+        for k in (1, 3):
+            blocks = list(_trial_blocks(qm, vectors, k, 300, seed=5))
+            sizes = [len(codes) for codes, _ in blocks]
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            assert (starts // _TRIAL_BLOCK == (ends - 1) // _TRIAL_BLOCK).all()
+            _same_trials(qm, vectors, k, blocks, 300)
 
     def test_winners_past_the_first_block(self):
         qm, _, vectors = _relaxed("petersen", "full")
