@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _checked_int
+
 __all__ = [
     "BoundConstants",
     "CONSTANTS",
@@ -41,17 +43,11 @@ def _check_domain(x, lo, hi, name="x"):
     return arr
 
 
-def _check_k(k):
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    return int(k)
-
-
 def f_k(x, k):
     """Probability that k independent random hyperplanes keep together two
     unit vectors with inner product x: (1 - arccos(x)/pi)**k."""
     arr = _check_domain(x, 0.0, 1.0)
-    k = _check_k(k)
+    k = _checked_int("k", k, 1)
     out = (1.0 - np.arccos(arr) / np.pi) ** k
     return out if out.ndim else float(out)
 
@@ -60,7 +56,7 @@ def h_k(x, k):
     """Linear lower convex envelope of -f_k on [0, 1]:
     -1/2**k + (1/2**k - 1) * x."""
     arr = _check_domain(x, 0.0, 1.0)
-    k = _check_k(k)
+    k = _checked_int("k", k, 1)
     w = 0.5**k
     out = -w + (w - 1.0) * arr
     return out if out.ndim else float(out)
@@ -70,7 +66,7 @@ def g_k(x, k):
     """Additive error of k-hyperplane rounding as a function of the
     positive-mass average: x - f_k(x) + 1/2**k. Strictly concave on (0, 1).
     It is the last column of ``g_table(x, k)``, to the bit."""
-    out = g_table(x, k)[..., -1]
+    out = g_table(x, _checked_int("k", k, 1))[..., -1]
     return out if out.ndim else float(out)
 
 
@@ -78,7 +74,7 @@ def g_table(x, k_hi):
     """x - f_k(x) + 1/2**k for k = 1, ..., k_hi along a new last axis: the
     one evaluation of the per-k error."""
     arr = _check_domain(x, 0.0, 1.0)
-    ks = np.arange(1, _check_k(k_hi) + 1)
+    ks = np.arange(1, _checked_int("k_hi", k_hi, 1) + 1)
     base = 1.0 - np.arccos(arr) / np.pi
     return arr[..., None] - base[..., None] ** ks + 0.5**ks
 
@@ -87,7 +83,7 @@ def l_k(x, k):
     """Auxiliary geometric sum (1/2**(k-1)) * sum_{i<k} (2x)**i, convex on
     [0, 1]; strictly below x + 1/2 left of (1+sqrt(5))/4."""
     arr = _check_domain(x, 0.0, 1.0)
-    k = _check_k(k)
+    k = _checked_int("k", k, 1)
     acc = np.zeros_like(arr)
     for i in range(k):
         acc = acc + (2.0 * arr) ** i
@@ -189,6 +185,7 @@ def full_lower_bound_curve(opt, k_max: int = K_CAP):
     Returns opt - min(full_worst_error, min_{k <= k_max} g_k(opt)).
     """
     arr = _check_domain(opt, 0.0, np.nextafter(1.0, 0.0), name="opt")
+    k_max = _checked_int("k_max", k_max, 1)
     err = np.minimum(CONSTANTS.full_worst_error, g_table(arr, k_max).min(axis=-1))
     out = arr - err
     return out if out.ndim else float(out)
@@ -237,9 +234,7 @@ def cut_error_curve(opt_cut):
 
 def k_cap_for(n: int) -> int:
     """Hyperplane-count cap used by the adaptive scheme: max(3, ceil(log2 n))."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return max(3, (n - 1).bit_length())
+    return max(3, (_checked_int("n", n, 1) - 1).bit_length())
 
 
 def verify_auxiliary_bounds(n_range, grid: int = 1000) -> dict:
@@ -252,9 +247,10 @@ def verify_auxiliary_bounds(n_range, grid: int = 1000) -> dict:
 
     Returns a dict with one boolean per check plus scan diagnostics.
     """
-    n_range = list(n_range)
+    n_range = [_checked_int("n_range item", n, 1) for n in n_range]
     if not n_range:
         raise ValueError("n_range must be nonempty")
+    grid = _checked_int("grid", grid, 1)
 
     cap_ok = True
     worst_argmin = {}

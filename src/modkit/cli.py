@@ -26,9 +26,9 @@ import numpy as np
 
 from . import bounds
 from .exact import CUT_LIMIT, FULL_LIMIT, exact_cut, exact_full
-from .graph import VARIANTS, GraphFormatError, parse_edge_list
+from .graph import VARIANTS, GraphFormatError, _checked_int, parse_edge_list
 from .modularity import build_q
-from .rounding import _checked_seed, _checked_trials, round_cut, round_full
+from .rounding import _checked_seed, round_cut, round_full
 from .sdp import SolverOptions, solve_cut_sdp, solve_full_sdp
 
 EXIT_OK = 0
@@ -141,7 +141,7 @@ def _run_rounding_command(args) -> int:
     # so that they, or an output or log path, fail before the solve instead
     # of after it
     seed = _resolve_seed(args)
-    _checked_trials(args.trials)
+    _checked_int("trials", args.trials, 1)
     files = [path for path in (args.output, args.iterate_log) if path not in (None, "-")]
     if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
         raise ValueError("--output and --iterate-log must name different files")
@@ -226,8 +226,7 @@ def _figure_rows(figure: int, samples: int, k_max: int):
 
 
 def _run_bounds(args) -> int:
-    if args.samples < 1:
-        raise ValueError("samples must be at least 1")
+    _checked_int("samples", args.samples, 1)
     if args.k_max < 1:
         raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     meta, header, table = _figure_rows(args.figure, args.samples, args.k_max)

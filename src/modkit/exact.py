@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _checked_int
 from .modularity import Partition, QMatrix, code_scores, first_best
 
 __all__ = ["ExactResult", "exact_full", "exact_cut", "bell_number"]
@@ -240,6 +241,7 @@ def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
     enumeration. Rejects n > limit with the Bell-number count that made it
     unreasonable."""
     n = qm.graph.n
+    limit = _checked_int("limit", limit, 0)
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the enumeration limit {limit} "
@@ -256,6 +258,7 @@ def exact_cut(qm: QMatrix, limit: int = CUT_LIMIT) -> ExactResult:
     over the reversed vertex order put vertex n-1 on side 0 and come in
     mask order, bit v of a string's place giving vertex v's side."""
     n = qm.graph.n
+    limit = _checked_int("limit", limit, 0)
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the enumeration limit {limit} "

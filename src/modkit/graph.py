@@ -33,6 +33,18 @@ __all__ = [
 VARIANTS = ("undirected", "weighted", "directed", "bipartite")
 
 
+def _checked_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int: an int or a numpy integer, never a bool,
+    of at least ``least``. The one check of every count and index that
+    modkit takes as an argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    value = int(value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 class GraphFormatError(ValueError):
     """Raised for malformed edge-list text or invariant violations.
 
@@ -50,9 +62,10 @@ class GraphFormatError(ValueError):
 class Graph:
     """Validated graph: ``n`` vertices, edges as (i, j, w) triples.
 
-    For the bipartite variant ``part`` labels each vertex "left" or
-    "right" and every edge must join the two sides. Unweighted variants
-    carry w = 1.0 on every edge.
+    ``n`` must be an int or a numpy integer, not a bool, and is stored as
+    a Python int. For the bipartite variant ``part`` labels each vertex
+    "left" or "right" and every edge must join the two sides. Unweighted
+    variants carry w = 1.0 on every edge.
     """
 
     n: int
@@ -68,8 +81,10 @@ class Graph:
             object.__setattr__(self, "part", tuple(self.part))
         if self.variant not in VARIANTS:
             raise GraphFormatError(f"unknown variant {self.variant!r}")
-        if self.n < 1:
-            raise GraphFormatError("vertex count must be positive")
+        try:
+            object.__setattr__(self, "n", _checked_int("n", self.n, 1))
+        except ValueError:
+            raise GraphFormatError("vertex count must be positive") from None
         if len(self.edges) == 0:
             raise GraphFormatError("graph must contain at least one edge")
         if self.variant == "bipartite":

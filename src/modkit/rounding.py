@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
+from .graph import _checked_int
 from .modularity import Partition, QMatrix, code_scores, first_best
 from .sdp import SdpSolution
 
@@ -101,29 +102,13 @@ class GuaranteeReport:
     seed: int
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int; a bool or a non-integer is a TypeError."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-    return int(value)
-
-
 def _checked_seed(seed) -> int:
     """``seed`` as a Python int, if it is one that ``modkit --seed``
     accepts: an integer from 0 to 2**64 - 1, one Philox key."""
-    seed = _as_int("seed", seed)
-    if not 0 <= seed < 1 << 64:
+    seed = _checked_int("seed", seed, 0)
+    if seed >= 1 << 64:
         raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
     return seed
-
-
-def _checked_trials(trials) -> int:
-    """``trials`` as a Python int, if it is one that ``modkit --trials``
-    accepts: at least 1."""
-    trials = _as_int("trials", trials)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    return trials
 
 
 def _trial_rng(seed: int, block: int) -> np.random.Generator:
@@ -170,16 +155,17 @@ def hyperplane_round(
     sharing the sign pattern of all k projections share a cluster; a zero
     projection counts as positive. The pattern, read as k bits, is a
     vertex's cluster code; codes are compacted to contiguous ids and the
-    partition scored against ``qm``. ``seed`` must be an int from 0 to
-    2**64 - 1, and ``trial`` one from 0 to 2**72 - 1, so that its block
-    index fits the counter's 64-bit word.
+    partition scored against ``qm``. ``k`` must be an int from 1 to 64, as
+    a code has 64 bits; ``seed`` one from 0 to 2**64 - 1; and ``trial`` one
+    from 0 to 2**72 - 1, so that its block index fits the counter's 64-bit
+    word. A numpy integer counts as an int, a bool does not.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    k = _checked_int("k", k, 1)
+    if k > 64:
+        raise ValueError(f"k must be at most 64, got {k}: a cluster code "
+                         "holds one bit per hyperplane in an int64")
     seed = _checked_seed(seed)
-    trial = _as_int("trial", trial)
-    if trial < 0:
-        raise ValueError(f"trial must be nonnegative, got {trial}")
+    trial = _checked_int("trial", trial, 0)
     block, row = divmod(trial, _TRIAL_BLOCK)
     if block >= 1 << 64:
         raise ValueError(f"trial {trial} is past the last block of trials")
@@ -239,7 +225,7 @@ def round_full(
     if sol.kind != "full":
         raise ValueError("round_full needs a full-relaxation solution")
     seed = _checked_seed(seed)
-    trials = _checked_trials(trials)
+    trials = _checked_int("trials", trials, 1)
     z_plus = float(np.clip(sol.z_plus, 0.0, 1.0))
     z_minus = float(np.clip(sol.z_minus, -1.0, 0.0))
     k_star = select_k_star(z_plus, qm.graph.n)
@@ -280,7 +266,7 @@ def round_cut(
     if sol.kind != "cut":
         raise ValueError("round_cut needs a bipartition-relaxation solution")
     seed = _checked_seed(seed)
-    trials = _checked_trials(trials)
+    trials = _checked_int("trials", trials, 1)
     best = _best_of_trials(qm, gram_vectors(sol), 1, trials, seed)
 
     plus_arg = float(np.clip(2.0 * sol.z_plus - 1.0, -1.0, 1.0))

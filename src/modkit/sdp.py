@@ -60,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _checked_int
 from .modularity import QMatrix, summands
 
 __all__ = [
@@ -116,7 +117,8 @@ class SolverOptions:
     """Solver knobs, the same for both relaxations. ``tol_obj`` bounds the
     dual gap (bipartition) or the relative objective change (full) at
     convergence; ADMM also needs both residuals at most ``tol_obj / 40``.
-    It must be finite and positive. ``max_iters``, a positive int, caps the
+    It must be finite and positive. ``max_iters``, a positive int (a numpy
+    integer is stored as an int, a bool is rejected), caps the
     bipartition solver's power steps, the full solver's clipped power steps
     (its warm start) and, separately, its ADMM iterations, so a full solve
     can run up to twice that many steps; its ``iterations`` count ADMM
@@ -130,10 +132,9 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol_obj) and self.tol_obj > 0):
             raise ValueError("tolerances must be finite and positive")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
-            raise TypeError("max_iters must be an int")
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+        object.__setattr__(
+            self, "max_iters", _checked_int("max_iters", self.max_iters, 1)
+        )
 
 
 @dataclass(frozen=True)

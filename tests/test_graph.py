@@ -1,7 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
 
-from modkit import Graph, GraphFormatError, degrees, parse_edge_list, render_edge_list
+from modkit import (
+    Graph,
+    GraphFormatError,
+    SolverOptions,
+    bounds,
+    build_q,
+    degrees,
+    exact_cut,
+    exact_full,
+    hyperplane_round,
+    parse_edge_list,
+    render_edge_list,
+    round_cut,
+    round_full,
+    select_k_star,
+    solve_cut_sdp,
+    solve_full_sdp,
+)
 
 import fixtures
 
@@ -184,3 +203,90 @@ class TestGraphType:
                 Graph(n=n, edges=edges, variant=variant, part=part)
             assert not str(exc.value).startswith("line"), message
             assert exc.value.edges == where, message
+
+
+@functools.cache
+def _c4():
+    qm = build_q(fixtures.cycle_graph(4))
+    return qm, solve_full_sdp(qm), solve_cut_sdp(qm)
+
+
+def _round(kind, **kwargs):
+    qm, full, cut = _c4()
+    args = {"trials": 5, "seed": 0} | kwargs
+    if kind == "full":
+        return round_full(qm, full, **args)[1]
+    return round_cut(qm, cut, **args)[1]
+
+
+def _round_vertices(**kwargs):
+    qm, full, _ = _c4()
+    args = {"k": 2, "seed": 0, "trial": 0} | kwargs
+    return hyperplane_round(qm, full.factor, **args)
+
+
+# Every entry point that takes a count: (argument name in the message, the
+# least value accepted, a valid value, the call on a value, and the value
+# echoed back by the call, or None when the call stores none).
+COUNTS = {
+    "Graph-n": ("n", 1, 2,
+                lambda v: Graph(n=v, edges=((0, 1, 1.0),), variant="undirected"),
+                lambda g: g.n),
+    "SolverOptions-max_iters": ("max_iters", 1, 5,
+                                lambda v: SolverOptions(max_iters=v),
+                                lambda o: o.max_iters),
+    "f_k-k": ("k", 1, 2, lambda v: bounds.f_k(0.5, v), None),
+    "h_k-k": ("k", 1, 2, lambda v: bounds.h_k(0.5, v), None),
+    "g_k-k": ("k", 1, 2, lambda v: bounds.g_k(0.5, v), None),
+    "g_table-k_hi": ("k_hi", 1, 3, lambda v: bounds.g_table(0.5, v).tolist(), None),
+    "full_lower_bound_curve-k_max": (
+        "k_max", 1, 3, lambda v: bounds.full_lower_bound_curve(0.5, k_max=v), None),
+    "select_k_star-n": ("n", 1, 8, lambda v: select_k_star(0.5, v), None),
+    "hyperplane_round-k": ("k", 1, 2, lambda v: _round_vertices(k=v),
+                           lambda out: out.k_used),
+    "hyperplane_round-trial": ("trial", 0, 3, lambda v: _round_vertices(trial=v),
+                               lambda out: out.trial_seed[1]),
+    "round_full-trials": ("trials", 1, 5, lambda v: _round("full", trials=v),
+                          lambda report: report.trials),
+    "round_cut-trials": ("trials", 1, 5, lambda v: _round("cut", trials=v),
+                         lambda report: report.trials),
+    "round_full-seed": ("seed", 0, 7, lambda v: _round("full", seed=v),
+                        lambda report: report.seed),
+    "round_cut-seed": ("seed", 0, 7, lambda v: _round("cut", seed=v),
+                       lambda report: report.seed),
+    "exact_full-limit": ("limit", 0, 12, lambda v: exact_full(_c4()[0], limit=v), None),
+    "exact_cut-limit": ("limit", 0, 20, lambda v: exact_cut(_c4()[0], limit=v), None),
+    "verify_auxiliary_bounds-n_range": (
+        "n_range item", 1, 4, lambda v: bounds.verify_auxiliary_bounds([v], grid=10),
+        lambda out: next(iter(out["worst_argmin"]))),
+    "verify_auxiliary_bounds-grid": (
+        "grid", 1, 10, lambda v: bounds.verify_auxiliary_bounds([4], grid=v), None),
+}
+
+
+class TestCheckedInt:
+    """One integer check for every count: an int or a numpy integer, never
+    a bool, float or string, and at least the entry point's least value."""
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_non_int_rejected_by_name(self, entry):
+        name, _, _, call, _ = COUNTS[entry]
+        for value in (True, 2.0, "3", None):
+            with pytest.raises(TypeError, match=f"^{name} must be an int, not "):
+                call(value)
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_numpy_integer_accepted_as_int(self, entry):
+        _, _, good, call, echo = COUNTS[entry]
+        out = call(np.int64(good))
+        assert out == call(good)
+        if echo is not None:
+            assert type(echo(out)) is int and echo(out) == good
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_below_least_rejected(self, entry):
+        name, least, _, call, _ = COUNTS[entry]
+        # Graph keeps its own message for a vertex count below 1
+        message = "vertex count" if entry == "Graph-n" else name
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            call(least - 1)

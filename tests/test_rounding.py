@@ -81,6 +81,24 @@ class TestHyperplaneRound:
         with pytest.raises(ValueError):
             hyperplane_round(qm, vectors, 0, seed=0)
 
+    def test_rejects_more_planes_than_code_bits(self):
+        # a cluster code is an int64, one bit per plane: a 65th plane would
+        # be dropped. Here it is the only plane that parts vertices 0 and 1.
+        qm = build_q(fixtures.complete_graph(3))
+        vectors = np.array([[1.0, 0.0], [math.cos(0.05), math.sin(0.05)], [-1.0, 0.0]])
+        dirs = rounding._trial_rng(0, 0).standard_normal((24, 65, 2))[23]
+        signs = (vectors @ dirs.T) >= 0.0
+        assert np.flatnonzero(signs[0] != signs[1]).tolist() == [64]
+        with pytest.raises(ValueError, match="k must be at most 64"):
+            hyperplane_round(qm, vectors, 65, seed=0, trial=23)
+        # 64 planes fill the code, the sign bit included: in trial 124 the
+        # 64th plane alone parts vertices 0 and 1
+        dirs = rounding._trial_rng(0, 0).standard_normal((125, 64, 2))[124]
+        signs = (vectors @ dirs.T) >= 0.0
+        assert np.flatnonzero(signs[0] != signs[1]).tolist() == [63]
+        out = hyperplane_round(qm, vectors, 64, seed=0, trial=124)
+        assert out.partition.assign == (0, 1, 2)
+
     def test_rejects_bad_trial(self):
         qm = build_q(fixtures.k2())
         vectors = np.ones((2, 1))
