@@ -17,6 +17,7 @@ any edge that :class:`Graph` rejects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
 VARIANTS = ("undirected", "weighted", "directed", "bipartite")
 
 
-def _checked_int(name: str, value, least: int) -> int:
+def _checked_int(name: str, value, least: float) -> int:
     """``value`` as a Python int: an int or a numpy integer, never a bool,
     of at least ``least``. The one check of every count and index that
     modkit takes as an argument."""
@@ -62,10 +63,10 @@ class GraphFormatError(ValueError):
 class Graph:
     """Validated graph: ``n`` vertices, edges as (i, j, w) triples.
 
-    ``n`` must be an int or a numpy integer, not a bool, and is stored as
-    a Python int. For the bipartite variant ``part`` labels each vertex
-    "left" or "right" and every edge must join the two sides. Unweighted
-    variants carry w = 1.0 on every edge.
+    ``n`` and the edge endpoints must be ints or numpy integers, not bools,
+    and are stored as Python ints. For the bipartite variant ``part`` labels
+    each vertex "left" or "right" and every edge must join the two sides.
+    Unweighted variants carry w = 1.0 on every edge.
     """
 
     n: int
@@ -74,9 +75,13 @@ class Graph:
     part: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(i), int(j), float(w)) for i, j, w in self.edges)
-        )
+        # endpoints pass the type check here; their range is checked below,
+        # where a failure can name the edge
+        object.__setattr__(self, "edges", tuple(
+            (_checked_int("edge endpoint", i, -math.inf),
+             _checked_int("edge endpoint", j, -math.inf), float(w))
+            for i, j, w in self.edges
+        ))
         if self.part is not None:
             object.__setattr__(self, "part", tuple(self.part))
         if self.variant not in VARIANTS:

@@ -55,6 +55,7 @@ bit-reproducible for identical inputs and options.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -117,12 +118,12 @@ class SolverOptions:
     """Solver knobs, the same for both relaxations. ``tol_obj`` bounds the
     dual gap (bipartition) or the relative objective change (full) at
     convergence; ADMM also needs both residuals at most ``tol_obj / 40``.
-    It must be finite and positive. ``max_iters``, a positive int (a numpy
-    integer is stored as an int, a bool is rejected), caps the
-    bipartition solver's power steps, the full solver's clipped power steps
-    (its warm start) and, separately, its ADMM iterations, so a full solve
-    can run up to twice that many steps; its ``iterations`` count ADMM
-    iterations only. The full solver's Newton attempts, at most one per 20
+    It must be a finite, positive real number, not a bool. ``max_iters``, a
+    positive int (a numpy integer is stored as an int, a bool is rejected),
+    caps the bipartition solver's power steps, the full solver's clipped
+    power steps (its warm start) and, separately, its ADMM iterations, so a
+    full solve can run up to twice that many steps; its ``iterations``
+    count ADMM iterations only. The full solver's Newton attempts, at most one per 20
     ADMM iterations with up to four trial eigendecompositions each, are not
     iterations: they add no row to the solution's ``history``."""
 
@@ -130,6 +131,10 @@ class SolverOptions:
     max_iters: int = 50000
 
     def __post_init__(self):
+        if isinstance(self.tol_obj, bool) or not isinstance(self.tol_obj, numbers.Real):
+            raise TypeError(
+                f"tol_obj must be a real number, not {type(self.tol_obj).__name__}"
+            )
         if not (math.isfinite(self.tol_obj) and self.tol_obj > 0):
             raise ValueError("tolerances must be finite and positive")
         object.__setattr__(

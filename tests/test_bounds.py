@@ -10,6 +10,7 @@ import pytest
 import modkit
 from modkit import bounds
 from modkit.bounds import CONSTANTS, f_k, g_k, h_k, l_k
+from modkit.rounding import select_k_star
 
 CROSSOVER = math.cos((3 - math.sqrt(5)) / 4 * math.pi)
 GOLDEN_QUARTER = (1 + math.sqrt(5)) / 4  # value of f_1 at the crossover
@@ -225,6 +226,31 @@ class TestCutErrorCurve:
     def test_domain(self):
         with pytest.raises(ValueError):
             bounds.cut_error_curve(0.6)
+
+
+# Every function that takes a point of a bound curve: the call on one value.
+CURVE_ARGUMENTS = {
+    "f_k": lambda x: f_k(x, 2),
+    "h_k": lambda x: h_k(x, 2),
+    "g_k": lambda x: g_k(x, 2),
+    "g_table": lambda x: bounds.g_table(x, 3),
+    "l_k": lambda x: l_k(x, 2),
+    "full_lower_bound_curve": bounds.full_lower_bound_curve,
+    "cut_envelopes": bounds.cut_envelopes,
+    "cut_error_function": bounds.cut_error_function,
+    "cut_error_curve": bounds.cut_error_curve,
+    "select_k_star": lambda x: select_k_star(x, 10),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, None, np.array([0.5, math.nan])],
+                         ids=["nan", "None", "array-with-nan"])
+@pytest.mark.parametrize("call", CURVE_ARGUMENTS.values(), ids=CURVE_ARGUMENTS.keys())
+def test_nan_argument_rejected(call, value):
+    # NaN compares false both ways, so a range check must fail on it, not
+    # pass it; None reaches the check as NaN
+    with pytest.raises(ValueError, match=r"must lie in \["):
+        call(value)
 
 
 class TestVerifyAppendix:

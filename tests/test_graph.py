@@ -204,6 +204,16 @@ class TestGraphType:
             assert not str(exc.value).startswith("line"), message
             assert exc.value.edges == where, message
 
+    def test_endpoints_must_be_ints(self):
+        # int() would truncate a float and read a bool as vertex 0 or 1
+        for value in (1.7, True, "1", None):
+            for edge in ((0, value, 1.0), (value, 2, 1.0)):
+                with pytest.raises(TypeError, match="^edge endpoint must be an int, not "):
+                    Graph(n=3, edges=((0, 2, 1.0), edge), variant="undirected")
+        g = Graph(n=3, edges=((np.int64(0), np.uint8(2), 1.0),), variant="undirected")
+        assert g.edges == ((0, 2, 1.0),)
+        assert [type(v) for v in g.edges[0][:2]] == [int, int]
+
 
 @functools.cache
 def _c4():

@@ -70,6 +70,11 @@ class TestSolverOptions:
         with pytest.raises(TypeError, match="max_iters must be an int"):
             SolverOptions(max_iters=value)
 
+    @pytest.mark.parametrize("value", [True, None, "1e-6", 1e-6j])
+    def test_tol_obj_must_be_real(self, value):
+        with pytest.raises(TypeError, match="^tol_obj must be a real number, not "):
+            SolverOptions(tol_obj=value)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["tol_obj"])
     def test_non_finite_tolerance_rejected(self, field, value):
