@@ -18,6 +18,7 @@ any edge that :class:`Graph` rejects.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +64,12 @@ class GraphFormatError(ValueError):
 class Graph:
     """Validated graph: ``n`` vertices, edges as (i, j, w) triples.
 
-    ``n`` and the edge endpoints must be ints or numpy integers, not bools,
-    and are stored as Python ints. For the bipartite variant ``part`` labels
-    each vertex "left" or "right" and every edge must join the two sides.
-    Unweighted variants carry w = 1.0 on every edge.
+    Each edge must be an (i, j, w) triple. ``n`` and the edge endpoints
+    must be ints or numpy integers, not bools, and are stored as Python
+    ints; a weight must be a real number, not a bool, and is stored as a
+    float. For the bipartite variant ``part`` labels each vertex "left" or
+    "right" and every edge must join the two sides. Unweighted variants
+    carry w = 1.0 on every edge.
     """
 
     n: int
@@ -75,13 +78,23 @@ class Graph:
     part: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
-        # endpoints pass the type check here; their range is checked below,
-        # where a failure can name the edge
-        object.__setattr__(self, "edges", tuple(
-            (_checked_int("edge endpoint", i, -math.inf),
-             _checked_int("edge endpoint", j, -math.inf), float(w))
-            for i, j, w in self.edges
-        ))
+        # endpoints and weights pass the type checks here; their range is
+        # checked below, where a failure can name the edge
+        edges = []
+        for e, edge in enumerate(self.edges):
+            try:
+                i, j, w = edge
+            except (TypeError, ValueError):
+                raise GraphFormatError(
+                    f"edge {e} is not an (i, j, w) triple", (e,)
+                ) from None
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise TypeError(
+                    f"edge weight must be a real number, not {type(w).__name__}"
+                )
+            edges.append((_checked_int("edge endpoint", i, -math.inf),
+                          _checked_int("edge endpoint", j, -math.inf), float(w)))
+        object.__setattr__(self, "edges", tuple(edges))
         if self.part is not None:
             object.__setattr__(self, "part", tuple(self.part))
         if self.variant not in VARIANTS:

@@ -214,6 +214,23 @@ class TestGraphType:
         assert g.edges == ((0, 2, 1.0),)
         assert [type(v) for v in g.edges[0][:2]] == [int, int]
 
+    def test_weights_must_be_real(self):
+        # float() would read "2.5" as 2.5 and a bool as 0.0 or 1.0
+        for variant in ("weighted", "undirected"):
+            for value in ("2.5", "1", True, np.True_, None):
+                with pytest.raises(TypeError, match="^edge weight must be a real number, not "):
+                    Graph(n=3, edges=((0, 2, 1.0), (1, 2, value)), variant=variant)
+        g = Graph(n=3, edges=((0, 1, 2), (1, 2, np.float32(0.5))), variant="weighted")
+        assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
+        assert [type(e[2]) for e in g.edges] == [float, float]
+
+    def test_edges_must_be_triples(self):
+        # unpacking a pair failed with Python's own "not enough values"
+        for edge in ((1, 2), (1, 2, 1.0, 1.0), 7, None):
+            with pytest.raises(GraphFormatError, match=r"^edge 1 is not an \(i, j, w\) triple$") as exc:
+                Graph(n=3, edges=((0, 1, 1.0), edge), variant="undirected")
+            assert exc.value.edges == (1,)
+
 
 @functools.cache
 def _c4():

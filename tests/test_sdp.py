@@ -37,6 +37,21 @@ def feasibility_residuals(sol, nonneg: bool):
     return diag_err, min_eig, neg_entry
 
 
+def count_full_eighs(monkeypatch, n):
+    """A list that gains an entry at each numpy.linalg.eigh call on an
+    n x n matrix from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if a.shape[0] == n:
+            calls.append(None)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 class TestSolverOptions:
     def test_defaults(self):
         opts = SolverOptions()
@@ -314,18 +329,12 @@ class TestNewtonSteps:
         # stopped after Newton attempts at iterations 101 and later: the
         # count, the factor's domain and the bound's soundness all hold,
         # and each attempt, at most one per _NEWTON_WAIT iterations, costs
-        # at most one extra eigendecomposition per step size it tries
+        # at most one extra n x n eigendecomposition per step size it tries
+        # (the tracked projection's r x r ones are not counted)
         qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
         converged = solve_full_sdp(qm)
         assert converged.converged and converged.iterations > 200
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        calls = count_full_eighs(monkeypatch, qm.graph.n)
         sol = solve_full_sdp(qm, SolverOptions(max_iters=200))
         assert not sol.converged
         assert sol.iterations == 200 == len(sol.history)
@@ -400,6 +409,136 @@ class TestNewtonSteps:
         close = 10.0 * opts.tol_obj
         rows = np.flatnonzero((sol.history[:, 1] <= close) & (sol.history[:, 2] <= close))
         assert attempts[0] == first == min(rows[0] + 2, warmup + 1), name
+
+
+class TestTrackedProjection:
+    # from n = _TRACK_MIN_N on, a plain ADMM step refines the previous
+    # projection's eigenspace split instead of running a full eigh, and
+    # keeps the result only when the split is certified
+
+    @staticmethod
+    def projection(w):
+        lam, vecs = np.linalg.eigh(w)
+        k = int(np.searchsorted(lam, 0.0, side="right"))
+        return (vecs[:, k:] * lam[k:]) @ vecs[:, k:].T, lam[k:]
+
+    @staticmethod
+    def with_spectrum(lam, seed):
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((lam.size,) * 2))[0]
+        return (q * lam) @ q.T
+
+    def test_certified_steps_match_the_full_eigh(self, monkeypatch):
+        # every tracked step of a recorded run: x = P+(w) and the positive
+        # eigenvalues as the full eigh gives them, on an orthonormal basis
+        qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
+        n = qm.graph.n
+        assert n >= sdp._TRACK_MIN_N
+        reflect = sdp._reflect
+        errors = []
+
+        def checking(t, bt, c_rho, prev=None):
+            x, lam, vecs = reflect(t, bt, c_rho, prev)
+            if lam.size < n:
+                w = 2.0 * bt - t + c_rho
+                ref, lp = self.projection(w)
+                scale = max(1.0, float(np.abs(w).max()))
+                assert lam.size == lp.size
+                errors.append((float(np.abs(x - ref).max()) / scale,
+                               float(np.abs(lam - lp).max()) / scale,
+                               float(np.abs(vecs.T @ vecs - np.eye(n)).max())))
+            return x, lam, vecs
+
+        monkeypatch.setattr(sdp, "_reflect", checking)
+        sol = solve_full_sdp(qm)
+        assert sol.converged
+        assert len(errors) >= sol.iterations // 2
+        x_err, lam_err, orth_err = np.max(errors, axis=0)
+        assert x_err <= 1e-11 and lam_err <= 1e-11 and orth_err <= 1e-12
+
+    def test_most_steps_skip_the_full_eigh(self, monkeypatch):
+        # 287 iterations and 45 n x n eigendecompositions, Newton attempts'
+        # included: a tracked step that silently fell back on every
+        # iteration would run at least 287
+        qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
+        calls = count_full_eighs(monkeypatch, qm.graph.n)
+        sol = solve_full_sdp(qm)
+        assert sol.converged
+        assert len(calls) <= sol.iterations // 4
+
+    def spectrum_and_move(self, n):
+        # a projection at w0, whose eigenvalues nearest 0 are -1e-3 and
+        # 1e-3, and a move of 1e-7 from w0
+        lam = np.sort(np.append(np.linspace(-3.0, 2.0, n - 2), [-1e-3, 1e-3]))
+        w0 = self.with_spectrum(lam, 0)
+        move = 1e-7 * self.with_spectrum(np.linspace(-1.0, 1.0, n), 1)
+        return lam, w0, move
+
+    def test_small_move_is_tracked(self):
+        n = sdp._TRACK_MIN_N
+        _, w0, move = self.spectrum_and_move(n)
+        zero = np.zeros((n, n))
+        x, lp, _ = _reflect(zero, zero, w0 + move, _reflect(zero, zero, w0)[1:])
+        ref, lp_ref = self.projection(w0 + move)
+        assert lp.size == lp_ref.size < n
+        assert np.abs(x - ref).max() <= 1e-11 * max(1.0, np.abs(w0).max())
+        assert np.abs(lp - lp_ref).max() <= 1e-11 * max(1.0, np.abs(w0).max())
+
+    @pytest.mark.parametrize("case", [
+        "crossing_up", "crossing_down", "r_zero", "r_n", "jump", "new_basis",
+        "below_floor",
+    ])
+    def test_refusals_run_the_full_eigh(self, case):
+        # where test_small_move_is_tracked's move is tracked, these are
+        # not: an eigenvalue crosses 0 either way (-1e-3 to 5e-4, caught
+        # by the negative block's Cholesky; 1e-3 to -5e-4, by the Ritz
+        # values), the previous projection has no positive or no
+        # nonpositive eigenvalue, w moves 3e4 times as far (the sweeps do
+        # not converge) or to another eigenbasis, or n is below the floor.
+        # Each returns the full eigh's result, bit for bit
+        n = sdp._TRACK_MIN_N - (case == "below_floor")
+        lam, w0, move = self.spectrum_and_move(n)
+        if case in ("r_zero", "r_n"):
+            lam = np.abs(lam) * (-1.0 if case == "r_zero" else 1.0)
+            w0 = self.with_spectrum(lam, 0)
+        zero = np.zeros((n, n))
+        prev = _reflect(zero, zero, w0)[1:]
+        w1 = w0 + move
+        if case == "crossing_up":
+            w1 += self.with_spectrum(np.where(lam == -1e-3, 1.5e-3, 0.0), 0)
+        elif case == "crossing_down":
+            w1 -= self.with_spectrum(np.where(lam == 1e-3, 1.5e-3, 0.0), 0)
+        elif case == "jump":
+            w1 = w0 + 3e4 * move
+        elif case == "new_basis":
+            w1 = self.with_spectrum(lam, 2)
+        got, ref = _reflect(zero, zero, w1, prev), _reflect(zero, zero, w1)
+        assert got[1].size == n
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+    def test_newton_attempts_get_exact_eigenpairs(self, monkeypatch):
+        # the Jacobian needs every eigenpair, so an attempt's own iteration
+        # runs the full eigh
+        qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
+        n = qm.graph.n
+        reflect, jacobian = sdp._reflect, sdp._residual_jacobian
+        last, checked = {}, []
+
+        def recording(t, bt, c_rho, prev=None):
+            last["w"] = 2.0 * bt - t + c_rho
+            return reflect(t, bt, c_rho, prev)
+
+        def checking(t, lam, vecs):
+            w = last["w"]
+            checked.append((lam.size, float(np.abs(w @ vecs - vecs * lam).max())))
+            return jacobian(t, lam, vecs)
+
+        monkeypatch.setattr(sdp, "_reflect", recording)
+        monkeypatch.setattr(sdp, "_residual_jacobian", checking)
+        assert solve_full_sdp(qm).converged
+        assert len(checked) >= 5
+        assert all(size == n for size, _ in checked)
+        assert max(err for _, err in checked) <= 1e-10
 
 
 class TestGmres:
