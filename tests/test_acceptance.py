@@ -7,8 +7,9 @@ Criteria:
  1. worst-case constants and tangency constants
  2. guarantee-curve spot value at optimum 0.999 (two sub-checks)
  3. oracle sandwich: brute-force optima never exceed relaxation objectives
- 4. full-scheme additive certificate and expectation floors
- 5. bipartition-scheme additive certificate and expectation floors
+ 4. full-scheme additive certificate, expectation floors and exact trial law
+ 5. bipartition-scheme additive certificate, expectation floors and exact
+    trial law
  6. hyperplane separation law
  7. regular-graph positive-mass identity
  8. auxiliary numeric verification (k-cap, Jordan bound, geometric sums)
@@ -212,6 +213,51 @@ def test_c04_full_expectation_floors(solved_full):
         f"{FLOOR_FIXTURES_FULL} (failures: {failures or 'none'})",
     )
     assert ok
+
+
+def _law_misses(records, names, k_max, seed):
+    """(name, k, mean, E_k, standard error) wherever the mean of 10^4 trial
+    scores at k hyperplanes is more than 4 standard errors from the exact
+    law E_k = sum q_ij (1 - arccos(x_ij) / pi)^k, x = V V^T: k planes keep
+    two unit vectors at inner product x together with probability
+    (1 - arccos(x) / pi)^k, whatever the sign of x."""
+    by_name = {name: rec for name, *rec in records}
+    misses = []
+    for name in names:
+        _, qm, sol, _ = by_name[name]
+        together = 1.0 - np.arccos(np.clip(sol.factor @ sol.factor.T, -1.0, 1.0)) / np.pi
+        for k in range(1, k_max(qm, sol) + 1):
+            scores = np.concatenate(
+                [s for _, s in _trial_blocks(qm, sol.factor, k, 10_000, seed)]
+            )
+            law = float((qm.entries * together**k).sum())
+            error = scores.std(ddof=1) / 100.0
+            # arccos has an infinite slope at 1: an x_ij rounded 1e-14 below
+            # 1 moves its term by 5e-8 |q_ij|, and trials that all score the
+            # same have no standard error to absorb that
+            if abs(scores.mean() - law) > 4.0 * error + 1e-7 * np.abs(qm.entries).sum():
+                misses.append((name, k, scores.mean(), law, error))
+    return misses
+
+
+def test_c04_full_trial_means_follow_the_hyperplane_law(solved_full):
+    # the floor test above leaves 0.1-0.24 of slack under the mean; this
+    # one pins the mean itself, at every k up to k_star
+    misses = _law_misses(
+        solved_full, FLOOR_FIXTURES_FULL,
+        lambda qm, sol: select_k_star(float(np.clip(sol.z_plus, 0.0, 1.0)), qm.graph.n),
+        seed=2024,
+    )
+    _report("4e", not misses, f"10^4-trial means within 4 standard errors of "
+            f"E_k on {FLOOR_FIXTURES_FULL}, k = 1..k_star (misses: {misses or 'none'})")
+    assert not misses
+
+
+def test_c05_cut_trial_means_follow_the_hyperplane_law(solved_cut):
+    misses = _law_misses(solved_cut, FLOOR_FIXTURES_CUT, lambda qm, sol: 1, seed=909)
+    _report("5e", not misses, f"10^4-trial bipartition means within 4 standard "
+            f"errors of E_1 on {FLOOR_FIXTURES_CUT} (misses: {misses or 'none'})")
+    assert not misses
 
 
 def test_c05_cut_additive_certificate(solved_cut):

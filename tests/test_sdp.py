@@ -333,21 +333,33 @@ class TestNewtonSteps:
         # (the tracked projection's r x r ones are not counted)
         qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
         converged = solve_full_sdp(qm)
-        assert converged.converged and converged.iterations > 200
+        # the capped solve repeats the converged one's iterations, one short
+        cap = converged.iterations - 1
+        assert converged.converged and cap > sdp._NEWTON_WARMUP + 20
         calls = count_full_eighs(monkeypatch, qm.graph.n)
-        sol = solve_full_sdp(qm, SolverOptions(max_iters=200))
+        attempts = []
+        direction = sdp._newton_direction
+
+        def counting_direction(*args):
+            attempts.append(None)
+            return direction(*args)
+
+        monkeypatch.setattr(sdp, "_newton_direction", counting_direction)
+        sol = solve_full_sdp(qm, SolverOptions(max_iters=cap))
         assert not sol.converged
-        assert sol.iterations == 200 == len(sol.history)
+        assert sol.iterations == cap == len(sol.history)
         assert (sol.factor @ sol.factor.T).min() >= 0.0
         assert sol.upper_bound >= converged.objective
         iterations = sol.iterations
         # the factor is read from the last iteration's eigenpairs, so no
         # eigendecomposition follows the loop
-        assert len(calls) <= iterations + 4 * ((iterations - 101) // 20 + 1)
+        first = sdp._NEWTON_WARMUP + 1
+        assert 0 < len(attempts) <= (iterations - first) // sdp._NEWTON_WAIT + 1
+        assert len(calls) <= iterations + len(sdp._NEWTON_STEPS) * len(attempts)
 
     def test_fewer_iterations_than_plain_admm(self, monkeypatch):
         # the same seeded graph without Newton attempts needs 1432
-        # iterations and with them 371; demand at most half
+        # iterations and with them 165; demand at most half
         qm = build_q(fixtures.planted_weighted(30, 4, seed=1))
         newton = solve_full_sdp(qm)
         monkeypatch.setattr(sdp, "_NEWTON_WARMUP", SolverOptions().max_iters)
@@ -358,8 +370,8 @@ class TestNewtonSteps:
         assert newton.objective == pytest.approx(plain.objective, abs=1e-5)
 
     def test_backtracking_saves_iterations(self, monkeypatch):
-        # with the full step only, the seeded graph needs 423 iterations,
-        # and 289 when shorter steps along the same direction are tried
+        # with the full step only, the seeded graph needs 364 iterations,
+        # and 143 when shorter steps along the same direction are tried
         qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
         backtracked = solve_full_sdp(qm)
         monkeypatch.setattr(sdp, "_NEWTON_STEPS", (1.0,))
@@ -373,7 +385,7 @@ class TestNewtonSteps:
         [
             # both residuals first reach 10 tol_obj at iteration 39
             ("petersen", fixtures.petersen(), 50000, 100, 40),
-            # not before iteration 183: the warm-up ends first
+            # not before iteration 123: the warm-up ends first
             ("planted", fixtures.planted_weighted(30, 4, seed=1), 50000, 100, 101),
             # a warm-up of max_iters or more turns the attempts off
             ("petersen_off", fixtures.petersen(), 50000, 50000, None),
@@ -456,14 +468,32 @@ class TestTrackedProjection:
         assert x_err <= 1e-11 and lam_err <= 1e-11 and orth_err <= 1e-12
 
     def test_most_steps_skip_the_full_eigh(self, monkeypatch):
-        # 287 iterations and 45 n x n eigendecompositions, Newton attempts'
-        # included: a tracked step that silently fell back on every
-        # iteration would run at least 287
+        # a plain step is an iteration without a Newton attempt. Every
+        # attempt's own projection and every trial step run the full eigh,
+        # and a trial is a projection beyond the one per iteration, so the
+        # plain steps' n x n eigendecompositions are the rest; a tracked
+        # step that silently fell back on every plain step would run one
+        # per plain step
         qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
         calls = count_full_eighs(monkeypatch, qm.graph.n)
+        reflects, attempts = [], []
+        reflect, direction = sdp._reflect, sdp._newton_direction
+
+        def counting_reflect(*args):
+            reflects.append(None)
+            return reflect(*args)
+
+        def counting_direction(*args):
+            attempts.append(None)
+            return direction(*args)
+
+        monkeypatch.setattr(sdp, "_reflect", counting_reflect)
+        monkeypatch.setattr(sdp, "_newton_direction", counting_direction)
         sol = solve_full_sdp(qm)
-        assert sol.converged
-        assert len(calls) <= sol.iterations // 4
+        assert sol.converged and attempts
+        trials = len(reflects) - sol.iterations
+        plain = sol.iterations - len(attempts)
+        assert len(calls) - len(attempts) - trials <= plain // 4
 
     def spectrum_and_move(self, n):
         # a projection at w0, whose eigenvalues nearest 0 are -1e-3 and
@@ -558,13 +588,59 @@ class TestGmres:
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_minimal_residual_over_the_krylov_space(self, m):
         a, b = self.system(30)
-        krylov = np.empty((30, m))
-        krylov[:, 0] = b
+        x = _gmres(lambda v: a @ v, b, m)
+        assert np.linalg.norm(x - self.krylov_minimizer(a, b, m)) <= 1e-10 * np.linalg.norm(x)
+
+    @staticmethod
+    def krylov_minimizer(a, r, m):
+        # the dense least-squares minimizer of |r - a z| over z in K_m(a, r)
+        krylov = np.empty((r.size, m))
+        krylov[:, 0] = r
         for j in range(1, m):
             krylov[:, j] = a @ krylov[:, j - 1]
-        coef = np.linalg.lstsq(a @ krylov, b, rcond=None)[0]
-        x = _gmres(lambda v: a @ v, b, m)
-        assert np.linalg.norm(x - krylov @ coef) <= 1e-10 * np.linalg.norm(x)
+        return krylov @ np.linalg.lstsq(a @ krylov, r, rcond=None)[0]
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_start_adds_the_minimal_residual_correction(self, m):
+        # from x0 the cycle searches x0 + K_m(A, b - A x0)
+        a, b = self.system(30)
+        x0 = np.linalg.solve(a, b) + 0.3 * np.random.default_rng(4).standard_normal(30)
+        r0 = b - a @ x0
+        assert np.linalg.norm(r0) < np.linalg.norm(b)
+        x = _gmres(lambda v: a @ v, b, m, x0)
+        expected = x0 + self.krylov_minimizer(a, r0, m)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(x)
+
+    def test_start_with_a_larger_residual_is_ignored(self):
+        a, b = self.system(30)
+        x0 = 10.0 * np.random.default_rng(4).standard_normal(30)
+        assert np.linalg.norm(b - a @ x0) > np.linalg.norm(b)
+        got = _gmres(lambda v: a @ v, b, 6, x0)
+        assert np.array_equal(got, _gmres(lambda v: a @ v, b, 6))
+
+    def test_second_pass_when_the_first_cancels_most(self):
+        # A = I + 1e-6 R maps each basis vector almost onto itself, so the
+        # first Gram-Schmidt pass leaves about 1e-6 of A q_j, and its
+        # rounding error, relative to what is left, would cost a single
+        # pass about 1e-10 of orthogonality; the second pass keeps it
+        dim, m = 60, 20
+        rng = np.random.default_rng(8)
+        a = np.eye(dim) + 1e-6 * rng.standard_normal((dim, dim))
+        b = rng.standard_normal(dim)
+        seen = []
+
+        def matvec(v):
+            seen.append(v.copy())
+            return a @ v
+
+        _gmres(matvec, b, m)
+        basis = np.array(seen)
+        assert len(basis) == m
+        for j in range(m):
+            w = a @ basis[j]
+            first = w - basis[: j + 1].T @ (basis[: j + 1] @ w)
+            assert np.linalg.norm(first) <= 0.5 * np.linalg.norm(w)
+        assert np.abs(basis @ basis.T - np.eye(m)).max() <= 1e-12
 
     def test_zero_right_hand_side(self):
         a, _ = self.system(5)
