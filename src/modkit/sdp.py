@@ -24,17 +24,18 @@ Two problems, one solver each:
   after a warm-up, which ends early once both residuals reach 10 tol_obj,
   it also tries, as often as every other iteration, a safeguarded
   semismooth Newton step on the map's fixed-point residual (Ali, Wong &
-  Kolter 2017), with the closed-form generalized Jacobian of the PSD
-  projection (Zhao, Sun & Toh 2010) and one cycle of an in-module GMRES
-  (Saad & Schultz 1986) started from the previous attempt's direction.
-  The step is backtracked along its direction until it shrinks the
-  residual enough, and dropped if no step size does; after a failed
-  attempt the wait before the next one doubles. Past the warm-up these
-  attempts, not the plain steps, do most of the converging; the stop
-  test is made on plain ADMM steps. The eigenpairs of the last PSD
-  projection, rows normalized, give the factor. When ADMM stopped early
-  and that factor's V V^T has a negative entry, the nonnegative start is
-  returned instead, so the solution stays in the relaxation's domain.
+  Kolter 2017): one cycle of an in-module GMRES (Saad & Schultz 1986),
+  started from the previous attempt's direction, on the closed-form
+  generalized Jacobian of the PSD projection (Zhao, Sun & Toh 2010),
+  shifted by the residual's norm. The step is backtracked along its
+  direction until it shrinks the residual enough, and dropped if no step
+  size does; after a failed attempt the wait before the next one doubles.
+  Past the warm-up these attempts, not the plain steps, do most of the
+  converging; the stop test is made on plain ADMM steps. The eigenpairs
+  of the last PSD projection, rows normalized, give the factor. When ADMM
+  stopped early and that factor's V V^T has a negative entry, the
+  nonnegative start is returned instead, so the solution stays in the
+  relaxation's domain.
 * bipartition relaxation: maximize <Q, (X+1)/2> over PSD X with unit
   diagonal (entries may be negative); its optimum upper-bounds the best
   modularity over bipartitions. It is solved as X = V V^T with V of rank
@@ -358,32 +359,37 @@ def _tracked(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     return x, lp, basis
 
 
-def _residual_jacobian(t: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
-    """h -> J h for the generalized Jacobian J at t of the fixed-point
-    residual F(t) = B(t) - P+(2 B(t) - t + c / rho), given the eigenpairs
-    (lam, vecs) of 2 B(t) - t + c / rho, eigenvalues ascending: with
-    U = vecs, J h = m o h - U (Omega o (U^T (2 m o h - h) U)) U^T. The 0/1
-    mask m marks the off-diagonal entries with t_ij > 0, where B is the
-    identity. Omega holds the divided differences
-    (max(l_i, 0) - max(l_j, 0)) / (l_i - l_j) of the eigenvalues l (Zhao,
-    Sun & Toh 2010): 1 between two positive ones, 0 between two
+def _residual_jacobian(t: np.ndarray, lam: np.ndarray, vecs: np.ndarray, mu: float):
+    """h -> (J + mu I) h on flattened n x n matrices, for the generalized
+    Jacobian J at t of the fixed-point residual F(t) = B(t) - P+(2 B(t) - t
+    + c / rho), given the eigenpairs (lam, vecs) of 2 B(t) - t + c / rho,
+    eigenvalues ascending: with U = vecs, J h = m o h - U (Omega o (U^T (s o
+    h) U)) U^T. The 0/1 mask m marks the off-diagonal entries with t_ij > 0,
+    where B is the identity, and s = 2 m - 1. Omega holds the divided
+    differences (max(l_i, 0) - max(l_j, 0)) / (l_i - l_j) of the eigenvalues
+    l (Zhao, Sun & Toh 2010): 1 between two positive ones, 0 between two
     nonpositive ones. As Omega is symmetric and vanishes off the rows and
     columns of the r positive eigenvalues, U (Omega o M) U^T = A + A^T for
-    an A built from those r rows alone, halved on the positive columns;
-    J h then costs four matrix products with an r x n factor instead of
-    four n x n ones."""
-    mask = t > 0.0
-    np.fill_diagonal(mask, False)
-    mask = mask.astype(float)
+    an A built from those r rows alone, halved on the positive columns; a
+    product (m + mu) o h - A - A^T then costs four matrix products with an
+    r x n factor instead of four n x n ones."""
+    n = t.shape[0]
+    mask = (t > 0.0).astype(float)
+    mask.flat[:: n + 1] = 0.0
+    shift = mask + mu
+    sign = 2.0 * mask - 1.0
     k = int(np.searchsorted(lam, 0.0, side="right"))
     up, lp = vecs[:, k:], lam[k:]
     omega = np.full((lp.size, lam.size), 0.5)
     omega[:, :k] = lp[:, None] / (lp[:, None] - lam[None, :k])
 
-    def apply(h: np.ndarray) -> np.ndarray:
-        mh = mask * h
-        a = up @ ((omega * (up.T @ (2.0 * mh - h) @ vecs)) @ vecs.T)
-        return mh - a - a.T
+    def apply(vec: np.ndarray) -> np.ndarray:
+        h = vec.reshape(n, n)
+        a = up @ ((omega * (up.T @ (sign * h) @ vecs)) @ vecs.T)
+        out = shift * h
+        out -= a
+        out -= a.T
+        return out.ravel()
 
     return apply
 
@@ -434,23 +440,6 @@ def _gmres(matvec, b: np.ndarray, m: int, x0: np.ndarray | None = None) -> np.nd
     return z if x0 is None else x0 + z
 
 
-def _newton_direction(f: np.ndarray, jac, d_prev: np.ndarray | None = None) -> np.ndarray:
-    """Approximate solution d of (J + mu I) d = -f, mu = |f|, for the
-    residual f = F(t) and ``jac`` = h -> J h at t, by one ``_gmres`` cycle
-    of ``_NEWTON_KRYLOV`` iterations started from ``d_prev``, the previous
-    attempt's direction, when given; symmetrized."""
-    n = f.shape[0]
-    mu = float(np.linalg.norm(f))
-
-    def matvec(vec: np.ndarray) -> np.ndarray:
-        h = vec.reshape(n, n)
-        return (jac(h) + mu * h).ravel()
-
-    x0 = None if d_prev is None else d_prev.ravel()
-    d = _gmres(matvec, -f.ravel(), _NEWTON_KRYLOV, x0).reshape(n, n)
-    return (d + d.T) / 2.0
-
-
 def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     """Maximize <c, X> over PSD X >= 0 with unit diagonal, starting from
     the feasible point X = V V^T for a unit-row V >= 0. Returns (factor,
@@ -484,9 +473,11 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     residuals reach ``_NEWTON_CLOSE * tol_obj``, the loop also tries
     semismooth Newton steps on the fixed-point residual F(t) = t - T(t)
     (Ali, Wong & Kolter 2017), every ``_NEWTON_WAIT`` iterations while
-    they succeed; see ``_newton_direction``. Its GMRES cycle starts from
-    the previous attempt's direction, which a change of rho discards. Far
-    from a solution the full step t + d can leave the region where the
+    they succeed. The direction d is one ``_gmres`` cycle of
+    ``_NEWTON_KRYLOV`` iterations on (J + mu I) d = -F(t), mu = |F(t)|,
+    with the operator of ``_residual_jacobian``, started from the previous
+    attempt's direction, which a change of rho discards, and symmetrized.
+    Far from a solution the full step t + d can leave the region where the
     generalized Jacobian models F, so the step is backtracked, as in that
     scheme's line search: t + alpha d is taken for the first alpha in
     ``_NEWTON_STEPS`` with |F(t + alpha d)| <= (1 - (1 -
@@ -522,12 +513,19 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
         x, lam, vecs = _reflect(t, bt, c_rho, None if attempt else prev)
         if lam.size == n:
             full_at = it
+        # this refresh acts only when attempts are off (_NEWTON_WARMUP >=
+        # max_iters); else each, on a full eigh, comes within _NEWTON_MAX_WAIT
+        # iterations of the last, so the refresh falls on an attempt
         prev = (lam, vecs) if it - full_at < _NEWTON_MAX_WAIT - 1 else None
         if attempt:
             early = False
             f = bt - x
-            f_norm = np.linalg.norm(f)
-            d = _newton_direction(f, _residual_jacobian(t, lam, vecs), d)
+            f_norm = float(np.linalg.norm(f))
+            x0 = None if d is None else d.ravel()
+            jac = _residual_jacobian(t, lam, vecs, f_norm)
+            d = _gmres(jac, -f.ravel(), _NEWTON_KRYLOV, x0).reshape(n, n)
+            d += d.T
+            d /= 2.0
             for i, alpha in enumerate(_NEWTON_STEPS[first:], first):
                 t_try = t + alpha * d
                 bt_try = _box_project(t_try)

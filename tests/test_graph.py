@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from modkit import (
     solve_cut_sdp,
     solve_full_sdp,
 )
+from modkit.cli import main
 
 import fixtures
 
@@ -230,6 +232,30 @@ class TestGraphType:
             with pytest.raises(GraphFormatError, match=r"^edge 1 is not an \(i, j, w\) triple$") as exc:
                 Graph(n=3, edges=((0, 1, 1.0), edge), variant="undirected")
             assert exc.value.edges == (1,)
+
+
+@pytest.mark.parametrize("source, variant, message", [
+    ("# n: x\n0 1\n", "undirected", "line 1: bad vertex count header"),
+    ("# bipartite-left: a\n0 1\n", "bipartite", "line 1: bad bipartite-left header"),
+    ("# bipartite-left: 0 2\n0 1\n", "bipartite",
+     "bipartite-left header lists an out-of-range vertex"),
+    (("left", "middle"), "bipartite", "side labels must be 'left' or 'right'"),
+    (("left", "right"), "undirected", "side labels are only valid for bipartite graphs"),
+], ids=["n_header", "left_header", "left_out_of_range", "unknown_side", "sides_not_bipartite"])
+def test_header_and_side_label_errors(tmp_path, capsys, source, variant, message):
+    # a header is read from edge-list text, which the CLI rejects with exit
+    # code 2; side labels are given to Graph directly
+    exact = f"^{re.escape(message)}$"
+    if isinstance(source, tuple):
+        with pytest.raises(GraphFormatError, match=exact):
+            Graph(n=2, edges=((0, 1, 1.0),), variant=variant, part=source)
+        return
+    with pytest.raises(GraphFormatError, match=exact):
+        parse_edge_list(source, variant)
+    path = tmp_path / "g.txt"
+    path.write_text(source)
+    assert main(["solve", "--input", str(path), "--variant", variant]) == 2
+    assert capsys.readouterr().err == f"modkit: error: {message}\n"
 
 
 @functools.cache

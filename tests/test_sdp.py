@@ -52,6 +52,34 @@ def count_full_eighs(monkeypatch, n):
     return calls
 
 
+def count_attempts(monkeypatch, record=lambda: None):
+    """A list that gains an entry, record(), at each Newton attempt from
+    here on: an attempt builds one ``_residual_jacobian`` operator."""
+    calls = []
+    jacobian = sdp._residual_jacobian
+
+    def counting(*args):
+        calls.append(record())
+        return jacobian(*args)
+
+    monkeypatch.setattr(sdp, "_residual_jacobian", counting)
+    return calls
+
+
+def count_projections(monkeypatch):
+    """A list that gains an entry at each ``_reflect`` call from here on:
+    one per ADMM iteration, plus one per Newton trial step."""
+    calls = []
+    reflect = sdp._reflect
+
+    def counting(*args):
+        calls.append(None)
+        return reflect(*args)
+
+    monkeypatch.setattr(sdp, "_reflect", counting)
+    return calls
+
+
 class TestSolverOptions:
     def test_defaults(self):
         opts = SolverOptions()
@@ -311,7 +339,8 @@ class TestNewtonSteps:
 
     def test_jacobian_matches_central_differences(self):
         # at a point where F is differentiable (no zero entry of t, no zero
-        # eigenvalue of the reflected matrix) the matvec is its derivative
+        # eigenvalue of the reflected matrix) the operator is its derivative
+        # shifted by mu: op(h) - mu h is the directional derivative
         rng = np.random.default_rng(5)
         t, c_rho, h = ((a + a.T) / 2.0 for a in rng.standard_normal((3, 12, 12)))
         bt = np.clip(t, 0.0, None)
@@ -322,14 +351,18 @@ class TestNewtonSteps:
         eps = 1e-7
         numeric = (self.residual(t + eps * h, c_rho)
                    - self.residual(t - eps * h, c_rho)) / (2.0 * eps)
-        analytic = _residual_jacobian(t, lam, vecs)(h)
-        assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric)
+        for mu in (0.0, 0.7):
+            op = _residual_jacobian(t, lam, vecs, mu)
+            analytic = op(h.ravel()).reshape(h.shape) - mu * h
+            assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric), mu
 
     def test_unconverged_solve_past_the_warm_up(self, monkeypatch):
         # stopped after Newton attempts at iterations 101 and later: the
-        # count, the factor's domain and the bound's soundness all hold,
-        # and each attempt, at most one per _NEWTON_WAIT iterations, costs
-        # at most one extra n x n eigendecomposition per step size it tries
+        # count, the factor's domain and the bound's soundness all hold.
+        # Each attempt, at most one per _NEWTON_WAIT iterations, runs the
+        # full n x n eigh on its own iteration and on each trial step, a
+        # projection beyond the one per iteration; the plain steps'
+        # eigendecompositions are the rest, and most plain steps skip it
         # (the tracked projection's r x r ones are not counted)
         qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
         converged = solve_full_sdp(qm)
@@ -337,14 +370,8 @@ class TestNewtonSteps:
         cap = converged.iterations - 1
         assert converged.converged and cap > sdp._NEWTON_WARMUP + 20
         calls = count_full_eighs(monkeypatch, qm.graph.n)
-        attempts = []
-        direction = sdp._newton_direction
-
-        def counting_direction(*args):
-            attempts.append(None)
-            return direction(*args)
-
-        monkeypatch.setattr(sdp, "_newton_direction", counting_direction)
+        attempts = count_attempts(monkeypatch)
+        reflects = count_projections(monkeypatch)
         sol = solve_full_sdp(qm, SolverOptions(max_iters=cap))
         assert not sol.converged
         assert sol.iterations == cap == len(sol.history)
@@ -355,7 +382,9 @@ class TestNewtonSteps:
         # eigendecomposition follows the loop
         first = sdp._NEWTON_WARMUP + 1
         assert 0 < len(attempts) <= (iterations - first) // sdp._NEWTON_WAIT + 1
-        assert len(calls) <= iterations + len(sdp._NEWTON_STEPS) * len(attempts)
+        trials = len(reflects) - iterations
+        plain = iterations - len(attempts)
+        assert len(calls) - len(attempts) - trials <= plain // 4
 
     def test_fewer_iterations_than_plain_admm(self, monkeypatch):
         # the same seeded graph without Newton attempts needs 1432
@@ -398,19 +427,8 @@ class TestNewtonSteps:
         # after both residuals first reach 10 tol_obj; every ADMM iteration
         # projects once before its attempt, so the projections made before
         # the first attempt number its iteration
-        reflects, attempts = [], []
-        reflect, direction = sdp._reflect, sdp._newton_direction
-
-        def counting_reflect(*args):
-            reflects.append(None)
-            return reflect(*args)
-
-        def recording_direction(*args):
-            attempts.append(len(reflects))
-            return direction(*args)
-
-        monkeypatch.setattr(sdp, "_reflect", counting_reflect)
-        monkeypatch.setattr(sdp, "_newton_direction", recording_direction)
+        reflects = count_projections(monkeypatch)
+        attempts = count_attempts(monkeypatch, lambda: len(reflects))
         monkeypatch.setattr(sdp, "_NEWTON_WARMUP", warmup)
         opts = SolverOptions(max_iters=max_iters)
         sol = solve_full_sdp(build_q(graph), opts)
@@ -476,19 +494,8 @@ class TestTrackedProjection:
         # per plain step
         qm = build_q(fixtures.planted_weighted(60, 4, seed=1))
         calls = count_full_eighs(monkeypatch, qm.graph.n)
-        reflects, attempts = [], []
-        reflect, direction = sdp._reflect, sdp._newton_direction
-
-        def counting_reflect(*args):
-            reflects.append(None)
-            return reflect(*args)
-
-        def counting_direction(*args):
-            attempts.append(None)
-            return direction(*args)
-
-        monkeypatch.setattr(sdp, "_reflect", counting_reflect)
-        monkeypatch.setattr(sdp, "_newton_direction", counting_direction)
+        attempts = count_attempts(monkeypatch)
+        reflects = count_projections(monkeypatch)
         sol = solve_full_sdp(qm)
         assert sol.converged and attempts
         trials = len(reflects) - sol.iterations
@@ -558,10 +565,10 @@ class TestTrackedProjection:
             last["w"] = 2.0 * bt - t + c_rho
             return reflect(t, bt, c_rho, prev)
 
-        def checking(t, lam, vecs):
+        def checking(t, lam, vecs, mu):
             w = last["w"]
             checked.append((lam.size, float(np.abs(w @ vecs - vecs * lam).max())))
-            return jacobian(t, lam, vecs)
+            return jacobian(t, lam, vecs, mu)
 
         monkeypatch.setattr(sdp, "_reflect", recording)
         monkeypatch.setattr(sdp, "_residual_jacobian", checking)
