@@ -59,10 +59,6 @@ class Partition:
             assign.append(remap[lab])
         return cls(assign=tuple(assign), k=len(remap))
 
-    @classmethod
-    def single_cluster(cls, n: int) -> "Partition":
-        return cls(assign=(0,) * n, k=1)
-
     def communities(self) -> list[list[int]]:
         out = [[] for _ in range(self.k)]
         for v, c in enumerate(self.assign):

@@ -13,9 +13,9 @@ Two problems, one solver each:
   equation for the rotation between the two eigenspaces (Stewart 1973;
   Demmel 1987) and eigendecompositions of order r, the positive count;
   it keeps the result only when it certifies the new split, and runs the
-  full symmetric eigendecomposition otherwise, after a penalty change, at
-  least once per 200 iterations and wherever all eigenpairs are
-  needed. ADMM starts warm, primal and dual,
+  full symmetric eigendecomposition otherwise, on the first step, after a
+  penalty change and wherever all eigenpairs are needed. ADMM starts
+  warm, primal and dual,
   from the power step of the bipartition solver below clipped to the
   nonnegative orthant: each step sets V to the row-normalized
   max(0, (C0 + sigma I) V). X = V V^T is then feasible, and often close
@@ -253,8 +253,10 @@ def _reflect(t: np.ndarray, bt: np.ndarray, c_rho: np.ndarray, prev=None):
     vecs^T, all n eigenvalues. Given ``prev``, the (lam, vecs) of a
     projection at a nearby point, and n >= ``_TRACK_MIN_N``, the split of
     prev's basis is first refined to w (``_tracked``); then lam holds the r
-    positive eigenvalues only. The full eigendecomposition runs whenever
-    the refinement cannot certify its split."""
+    positive eigenvalues only. ``prev`` may itself be such a result, so
+    one basis can be carried through any number of steps; the full
+    eigendecomposition runs only when the refinement cannot certify its
+    split."""
     w = 2.0 * bt
     w -= t
     w += c_rho
@@ -280,8 +282,8 @@ def _tracked(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     Riccati equation A Y + Z^T - Y (B + Z Y) = 0 (Stewart 1973; Demmel
     1987). Diagonally preconditioned sweeps Y <- Y - R / (a_i - b_j), for
     the residual R and the diagonals a of A and b of B, every a_i below
-    every b_j, solve it: at most ``_TRACK_SWEEPS`` of them, stopped as soon
-    as |R| grows, must bring |R| to 16 n eps max|diag M|. The orthonormal
+    every b_j, solve it: at most ``_TRACK_SWEEPS`` of them must bring |R|
+    to 16 n eps max|diag M|. The orthonormal
     bases [Y; I] (I + Y^T Y)^(-1/2) and [I; -Y^T] (I + Y Y^T)^(-1/2), both
     from one r x r eigh of Y^T Y, rotate the blocks apart, leaving them
     coupled by R alone. As P+ is nonexpansive, x then differs from P+(w)
@@ -289,10 +291,8 @@ def _tracked(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     gives its eigenpairs. The split is certified, and the result returned,
     only when all r eigenvalues are positive and the negative block, or
     N^T M N for N = [I; -Y^T], which is congruent to it, is negative
-    definite: by Weyl's bound max diag + |off-diagonal|_F < 0, else by a
-    Cholesky factorization of its negation. The negative block is rotated
-    but never diagonalized, so its diagonal drifts from its eigenvalues
-    until a full eigh resets the basis."""
+    definite, which a Cholesky factorization of its negation tests. The
+    negative block is rotated but never diagonalized."""
     n = w.shape[0]
     r = lam.size - int(np.searchsorted(lam, 0.0, side="right"))
     k = n - r
@@ -307,9 +307,8 @@ def _tracked(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     tol = 16.0 * n * np.finfo(float).eps * float(np.abs(d).max())
     y, h, zy = np.zeros((k, r)), zt, 0.0
     res = zt
-    size = float(np.abs(res).max())
     for sweep in range(_TRACK_SWEEPS + 1):
-        if size <= tol:
+        if np.abs(res).max() <= tol:
             break
         if sweep == _TRACK_SWEEPS:
             return None
@@ -317,9 +316,6 @@ def _tracked(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
         h = a @ y + zt
         zy = zt.T @ y
         res = h - y @ (b + zy)
-        size, last = float(np.abs(res).max()), size
-        if size >= last:
-            return None
 
     # (I + Y^T Y)^(-1/2) = g = v Diag(1 / root) v^T and (I + Y Y^T)^(-1/2)
     # = I - Y v Diag(f) v^T Y^T for Y^T Y = v Diag(s) v^T
@@ -337,14 +333,10 @@ def _tracked(w: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     neg = (y @ (b / 2.0) - zt) @ y.T
     neg += neg.T
     neg += a
-    dn = neg.diagonal().copy()
-    neg.flat[:: k + 1] = 0.0
-    if dn.max() + np.linalg.norm(neg) >= 0.0:
-        neg.flat[:: k + 1] = dn
-        try:
-            np.linalg.cholesky(-neg)
-        except np.linalg.LinAlgError:
-            return None
+    try:
+        np.linalg.cholesky(-neg)
+    except np.linalg.LinAlgError:
+        return None
 
     # U- and U+ rotated: (U- - U+ Y^T) (I + Y Y^T)^(-1/2), where
     # (U- - U+ Y^T) Y v = U- Y v - U+ v Diag(s), and (U- Y + U+) g vb
@@ -456,8 +448,11 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     certified. The full one runs on the first iteration, after a change
     of rho (which moves w by far more than a step), on a Newton attempt's
     own iteration, whose Jacobian needs every eigenpair, on its trial
-    steps, and at least once every ``_NEWTON_MAX_WAIT`` iterations, which
-    bounds how far the tracked basis drifts from orthonormal.
+    steps, and wherever the tracked split is refused. It has no schedule
+    of its own, though while attempts are on they bring it at least once
+    every ``_NEWTON_MAX_WAIT`` iterations. A tracked step rotates the
+    basis by closed-form orthonormal factors, so without a reset it stays
+    orthonormal to rounding.
 
     ADMM with scaled dual u is run as Douglas-Rachford on the one matrix
     t = x + u: z = B(t) and u = t - B(t) for the box projection B, and one
@@ -503,7 +498,7 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     early = _NEWTON_WARMUP < opts.max_iters
     n = c.shape[0]
     # the last projection's (lam, vecs), when the next may start from it
-    prev, full_at = None, 0
+    prev = None
     # the last attempt's direction, and the index in _NEWTON_STEPS at which
     # the next attempt's backtracking starts
     d, first = None, 0
@@ -511,12 +506,7 @@ def _admm(c: np.ndarray, opts: SolverOptions, v: np.ndarray):
     for it in range(1, opts.max_iters + 1):
         attempt = it >= next_newton
         x, lam, vecs = _reflect(t, bt, c_rho, None if attempt else prev)
-        if lam.size == n:
-            full_at = it
-        # this refresh acts only when attempts are off (_NEWTON_WARMUP >=
-        # max_iters); else each, on a full eigh, comes within _NEWTON_MAX_WAIT
-        # iterations of the last, so the refresh falls on an attempt
-        prev = (lam, vecs) if it - full_at < _NEWTON_MAX_WAIT - 1 else None
+        prev = (lam, vecs)
         if attempt:
             early = False
             f = bt - x

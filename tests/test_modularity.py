@@ -142,7 +142,7 @@ class TestModularity:
     def test_single_cluster_scores_zero(self):
         for name, g in fixtures.named_fixtures():
             qm = build_q(g)
-            p = Partition.single_cluster(g.n)
+            p = Partition.from_labels([0] * g.n)
             assert modularity(qm, p) == pytest.approx(0.0, abs=1e-12), name
 
     def test_k2_split(self):

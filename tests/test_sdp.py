@@ -440,6 +440,25 @@ class TestNewtonSteps:
         rows = np.flatnonzero((sol.history[:, 1] <= close) & (sol.history[:, 2] <= close))
         assert attempts[0] == first == min(rows[0] + 2, warmup + 1), name
 
+    def test_attempts_come_within_the_longest_wait(self, monkeypatch):
+        # with no step size to try every attempt fails, so the wait before
+        # the next one doubles until _NEWTON_MAX_WAIT caps it. Each attempt
+        # runs the full eigh, and with attempts on nothing else resets the
+        # tracked basis on a schedule, so no gap between attempts, nor from
+        # iteration 0 to the first nor from the last to the end, exceeds
+        # the cap. Without trial steps the projections made before an
+        # attempt number its iteration
+        monkeypatch.setattr(sdp, "_NEWTON_STEPS", ())
+        reflects = count_projections(monkeypatch)
+        attempts = count_attempts(monkeypatch, lambda: len(reflects))
+        sol = solve_full_sdp(build_q(fixtures.planted_weighted(60, 4, seed=1)))
+        assert sol.converged and len(reflects) == sol.iterations
+        gaps = np.diff([0, *attempts, sol.iterations])
+        assert gaps.max() <= sdp._NEWTON_MAX_WAIT
+        # the cap is reached: the waits doubled past it would leave a gap
+        # of 256
+        assert sdp._NEWTON_MAX_WAIT in gaps
+
 
 class TestTrackedProjection:
     # from n = _TRACK_MIN_N on, a plain ADMM step refines the previous
@@ -501,6 +520,36 @@ class TestTrackedProjection:
         trials = len(reflects) - sol.iterations
         plain = sol.iterations - len(attempts)
         assert len(calls) - len(attempts) - trials <= plain // 4
+
+    def test_long_tracked_run_stays_exact(self, monkeypatch):
+        # with attempts off, only the first step and a change of rho run
+        # the full eigh, so one basis is carried through hundreds of
+        # tracked steps: it stays orthonormal and x stays P+(w)
+        qm = build_q(fixtures.planted_weighted(40, 4, seed=1))
+        n = qm.graph.n
+        opts = SolverOptions(max_iters=3000)
+        monkeypatch.setattr(sdp, "_NEWTON_WARMUP", opts.max_iters)
+        reflect = sdp._reflect
+        tracked, errors = [], []
+
+        def checking(t, bt, c_rho, prev=None):
+            x, lam, vecs = reflect(t, bt, c_rho, prev)
+            tracked.append(lam.size < n)
+            if len(tracked) % 100 == 0:
+                w = 2.0 * bt - t + c_rho
+                scale = max(1.0, float(np.abs(w).max()))
+                errors.append((float(np.abs(vecs.T @ vecs - np.eye(n)).max()),
+                               float(np.abs(x - self.projection(w)[0]).max()) / scale))
+            return x, lam, vecs
+
+        monkeypatch.setattr(sdp, "_reflect", checking)
+        solve_full_sdp(qm, opts)
+        # the lengths of the runs of consecutive tracked steps: the longest
+        # outlasts any gap between attempts when they are on
+        runs = np.diff(np.flatnonzero(np.diff([0, *tracked, 0]) != 0))[::2]
+        assert runs.max() > sdp._NEWTON_MAX_WAIT
+        orth_err, x_err = np.max(errors, axis=0)
+        assert orth_err <= 1e-10 and x_err <= 1e-11
 
     def spectrum_and_move(self, n):
         # a projection at w0, whose eigenvalues nearest 0 are -1e-3 and
