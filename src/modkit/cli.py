@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import json
 import os
 import secrets
 import stat
@@ -25,7 +26,7 @@ import sys
 import numpy as np
 
 from . import bounds
-from .exact import CUT_LIMIT, FULL_LIMIT, exact_cut, exact_full
+from .exact import CUT_LIMIT, FULL_LIMIT, _check_size, exact_cut, exact_full
 from .graph import VARIANTS, GraphFormatError, _checked_int, parse_edge_list
 from .modularity import build_q
 from .rounding import _checked_seed, round_cut, round_full
@@ -47,7 +48,7 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         inner = ", ".join(f"{_fmt(str(k))}: {_fmt(v)}" for k, v in value.items())
         return "{" + inner + "}"
@@ -179,11 +180,11 @@ def _run_rounding_command(args) -> int:
 
 def _run_exact(args) -> int:
     graph = _load_graph(args)
-    qm = build_q(graph)
-    if args.problem == "full":
-        result = exact_full(qm, limit=FULL_LIMIT if args.limit is None else args.limit)
-    else:
-        result = exact_cut(qm, limit=CUT_LIMIT if args.limit is None else args.limit)
+    cut = args.problem == "cut"
+    limit = (CUT_LIMIT if cut else FULL_LIMIT) if args.limit is None else args.limit
+    # an oversized graph fails here, before its n x n matrix is built
+    _check_size(graph.n, limit, cut)
+    result = (exact_cut if cut else exact_full)(build_q(graph), limit=limit)
     payload = {
         "config": {
             "command": "exact",

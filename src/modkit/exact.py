@@ -74,7 +74,10 @@ def _rgs_leaves(q: np.ndarray, rows: int, labels: int, floor=None):
     A chunk is (prefixes, parent, label, score): its string i is
     ``prefixes[parent[i]]`` followed by ``label[i]``, so a caller builds
     codes only for the strings it keeps. The prefixes are expanded depth
-    first, one level per vertex, and no level holds more than one chunk.
+    first, one level per vertex, in slices of max(1, rows // min(v + 1,
+    labels)) prefixes of length v: a prefix has at most min(v + 1, labels)
+    children, so a slice's children number at most max(rows, n), and no
+    level holds more than one chunk.
     Vertex v adds its own row against its cluster to its parent's score,
     q_vv + 2 * A[x_v], where A[c] sums q_vu over the u < v labelled c and a
     new label has A = 0; the sum is the partition score up to rounding.
@@ -94,22 +97,14 @@ def _rgs_leaves(q: np.ndarray, rows: int, labels: int, floor=None):
         if floor is not None:
             live = score + reach[v] >= floor()
             codes, top, score = codes[live], top[live], score[live]
-        first = 0
-        while first < len(codes):
-            if (len(codes) - first) * min(v + 1, labels) <= rows:
-                last = len(codes)  # every child fits
-            else:
-                # the most parents, at least one, whose children fit in a
-                # chunk; each has a child, so no more than `rows` parents fit
-                grow = np.minimum(top[first:first + rows] + 2, labels)
-                fit = np.searchsorted(np.cumsum(grow), rows, "right")
-                last = first + max(1, int(fit))
-            parents = codes[first:last], top[first:last], score[first:last]
+        batch = max(1, rows // min(v + 1, labels))
+        for first in range(0, len(codes), batch):
+            part = slice(first, first + batch)
+            parents = codes[part], top[part], score[part]
             if v + 1 == n:
                 yield _children(q, *parents, labels)
             else:
                 yield from expand(*_grown(q, *parents, labels))
-            first = last
 
     yield from expand(*_root())
 
@@ -212,8 +207,7 @@ def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int, strings: int):
     search of more than ``rows`` of them is bounded: the greatest score
     starts at ``_dive``'s, and a subtree that cannot reach the threshold
     is not expanded, its strings being ones the threshold drops. A
-    smaller search takes one chunk, one ``_children`` call, per level
-    whatever is pruned, so it neither dives nor prunes.
+    smaller search neither dives nor prunes.
 
     The strings run over the vertices in order for ``step`` 1 and in
     reverse for -1. Codes come back in vertex order and are scored against
@@ -236,34 +230,41 @@ def _rgs_blocks(qm: QMatrix, rows: int, labels: int, step: int, strings: int):
             yield codes, code_scores(qm, codes)
 
 
-def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
-    """Maximize the partition score over all set partitions by exhaustive
-    enumeration. Rejects n > limit with the Bell-number count that made it
-    unreasonable."""
-    n = qm.graph.n
+def _check_size(n: int, limit, cut: bool) -> None:
+    """Refuse an n-vertex search past ``limit``, naming the candidate count
+    while it is short (n <= 64), before anything of size n is built."""
     limit = _checked_int("limit", limit, 0)
     if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the enumeration limit {limit} "
-            f"(Bell({n}) = {bell_number(n)} partitions)"
-        )
-    strings = bell_number(n)
-    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, n, 1, strings))
+        count = f"2**{n - 1}" if cut else f"Bell({n})"
+        if n <= 64:
+            count += f" = {1 << (n - 1) if cut else bell_number(n)}"
+        kind = "bipartitions" if cut else "partitions"
+        raise ValueError(f"n={n} exceeds the enumeration limit {limit} ({count} {kind})")
+
+
+def _exact(qm: QMatrix, limit, cut: bool) -> ExactResult:
+    """The first best of the candidates of ``exact_cut`` if ``cut``, else
+    of ``exact_full``, once n passes ``_check_size``."""
+    n = qm.graph.n
+    _check_size(n, limit, cut)
+    strings = 1 << (n - 1) if cut else bell_number(n)
+    labels, step = (2, -1) if cut else (n, 1)
+    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, labels, step, strings))
     return ExactResult(score, Partition.from_labels(codes), strings)
+
+
+def exact_full(qm: QMatrix, limit: int = FULL_LIMIT) -> ExactResult:
+    """Maximize the partition score over all Bell(n) set partitions by
+    exhaustive enumeration of the strings over the vertices in order.
+    Rejects n > limit, before any enumeration, with the Bell-number count
+    that made it unreasonable (the count itself only for n <= 64)."""
+    return _exact(qm, limit, False)
 
 
 def exact_cut(qm: QMatrix, limit: int = CUT_LIMIT) -> ExactResult:
     """Maximize the partition score over all 2**(n-1) unordered
     bipartitions, the single-cluster split included. Two-label strings
     over the reversed vertex order put vertex n-1 on side 0 and come in
-    mask order, bit v of a string's place giving vertex v's side."""
-    n = qm.graph.n
-    limit = _checked_int("limit", limit, 0)
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the enumeration limit {limit} "
-            f"(2**{n - 1} = {2 ** (n - 1)} bipartitions)"
-        )
-    strings = 1 << (n - 1)
-    _, codes, score = first_best(_rgs_blocks(qm, _ROWS, 2, -1, strings))
-    return ExactResult(score, Partition.from_labels(codes), strings)
+    mask order, bit v of a string's place giving vertex v's side. Rejects
+    n > limit as ``exact_full`` does."""
+    return _exact(qm, limit, True)

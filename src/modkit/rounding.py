@@ -210,6 +210,30 @@ def _best_of_trials(qm, vectors, k, trials, seed):
     return RoundingOutcome(Partition.from_labels(codes), score, k, (seed, trial))
 
 
+def _rounded(qm, sol, k, trials, seed, floor, certificate):
+    """The best of ``trials`` (an int, at least 1) roundings with ``k``
+    hyperplanes, trials 0..trials-1 of ``seed``, an int from 0 to 2**64 - 1,
+    and its report: ``floor`` and ``certificate`` as the caller computed
+    them, every other field copied from ``sol``, ``qm`` and the winner."""
+    seed = _checked_seed(seed)
+    trials = _checked_int("trials", trials, 1)
+    best = _best_of_trials(qm, gram_vectors(sol), k, trials, seed)
+    report = GuaranteeReport(
+        upper_bound=sol.upper_bound,
+        relaxation_value=sol.objective,
+        q_mass=qm.q_mass,
+        z_plus=sol.z_plus,
+        z_minus=sol.z_minus,
+        k_star=k,
+        expectation_floor=floor,
+        additive_certificate=certificate,
+        best_score=best.score,
+        trials=trials,
+        seed=seed,
+    )
+    return best, report
+
+
 def round_full(
     qm: QMatrix, sol: SdpSolution, trials: int, seed: int
 ) -> tuple[RoundingOutcome, GuaranteeReport]:
@@ -221,35 +245,19 @@ def round_full(
     chosen hyperplane count and with z- clipped to [-1, 0] (the negative
     entries a converged solve keeps within its feasibility tolerance can
     leave it above 0), so the certificate stays at or below the floor.
+    ``_rounded`` checks the seed and trial count and builds the report.
     """
     if sol.kind != "full":
         raise ValueError("round_full needs a full-relaxation solution")
-    seed = _checked_seed(seed)
-    trials = _checked_int("trials", trials, 1)
     z_plus = float(np.clip(sol.z_plus, 0.0, 1.0))
     z_minus = float(np.clip(sol.z_minus, -1.0, 0.0))
     k_star = select_k_star(z_plus, qm.graph.n)
-    best = _best_of_trials(qm, gram_vectors(sol), k_star, trials, seed)
-
     q = qm.q_mass
     floor = q * (bounds.f_k(z_plus, k_star) + bounds.h_k(-z_minus, k_star))
     certificate = sol.objective - q * (
         sol.z_minus - z_minus + bounds.g_k(z_plus, k_star)
     )
-    report = GuaranteeReport(
-        upper_bound=sol.upper_bound,
-        relaxation_value=sol.objective,
-        q_mass=q,
-        z_plus=sol.z_plus,
-        z_minus=sol.z_minus,
-        k_star=k_star,
-        expectation_floor=floor,
-        additive_certificate=certificate,
-        best_score=best.score,
-        trials=trials,
-        seed=seed,
-    )
-    return best, report
+    return _rounded(qm, sol, k_star, trials, seed, floor, certificate)
 
 
 def round_cut(
@@ -261,29 +269,14 @@ def round_cut(
     The report carries the envelope floor p+(2z+ - 1) + p-(-1 - 2z-) and
     the additive certificate relaxation_value - 0.16598. A draw that leaves
     every vector on one side yields the single-cluster partition (score 0),
-    which is a valid bipartition with an empty side.
+    which is a valid bipartition with an empty side. ``_rounded`` checks
+    the seed and trial count and builds the report.
     """
     if sol.kind != "cut":
         raise ValueError("round_cut needs a bipartition-relaxation solution")
-    seed = _checked_seed(seed)
-    trials = _checked_int("trials", trials, 1)
-    best = _best_of_trials(qm, gram_vectors(sol), 1, trials, seed)
-
     plus_arg = float(np.clip(2.0 * sol.z_plus - 1.0, -1.0, 1.0))
     minus_arg = float(np.clip(-1.0 - 2.0 * sol.z_minus, -1.0, 1.0))
     p_plus, _ = bounds.cut_envelopes(plus_arg)
     _, p_minus = bounds.cut_envelopes(minus_arg)
-    report = GuaranteeReport(
-        upper_bound=sol.upper_bound,
-        relaxation_value=sol.objective,
-        q_mass=qm.q_mass,
-        z_plus=sol.z_plus,
-        z_minus=sol.z_minus,
-        k_star=1,
-        expectation_floor=p_plus + p_minus,
-        additive_certificate=sol.objective - CUT_ERROR_BUDGET,
-        best_score=best.score,
-        trials=trials,
-        seed=seed,
-    )
-    return best, report
+    return _rounded(qm, sol, 1, trials, seed, p_plus + p_minus,
+                    sol.objective - CUT_ERROR_BUDGET)

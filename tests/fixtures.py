@@ -121,16 +121,31 @@ def cut_extra_corpus(count: int = 5, seed: int = CORPUS_SEED + 1) -> list[tuple[
     return [(f"mid{i:02d}", _random_undirected(rng, 10, 14)) for i in range(count)]
 
 
-def planted_weighted(n: int, blocks: int, seed: int) -> Graph:
-    """Seeded weighted planted-partition graph: vertex i in block i % blocks,
-    pairs joined with probability 0.5 inside a block and 1.5 / n between
-    blocks, weights uniform in {0.25, 0.5, ..., 2}. The full solver needs
-    hundreds to thousands of ADMM iterations on them at n of 30 to 60."""
+def planted(variant: str, n: int, blocks: int, seed: int) -> Graph:
+    """Seeded planted-partition graph of any variant: vertex i in block
+    i % blocks, pairs joined with probability 0.5 inside a block and 1.5 / n
+    between blocks, each arc of a directed pair with half that. Weighted
+    edges weigh a multiple of 1/4 up to 2; a bipartite graph puts vertex i
+    on the left when i // blocks is even and joins only the two sides."""
     rng = np.random.default_rng(seed)
-    edges = tuple(
-        (i, j, float(rng.integers(1, 9)) / 4.0)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < (0.5 if i % blocks == j % blocks else 1.5 / n)
-    )
-    return Graph(n=n, edges=edges, variant="weighted")
+    left = [(i // blocks) % 2 == 0 for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or (variant != "directed" and j < i):
+                continue
+            if variant == "bipartite" and left[i] == left[j]:
+                continue
+            p = 0.5 if i % blocks == j % blocks else 1.5 / n
+            if rng.random() < (p / 2 if variant == "directed" else p):
+                w = float(rng.integers(1, 9)) / 4.0 if variant == "weighted" else 1.0
+                edges.append((i, j, w))
+    part = tuple("left" if side else "right" for side in left) if variant == "bipartite" else None
+    return Graph(n=n, edges=tuple(edges), variant=variant, part=part)
+
+
+def planted_weighted(n: int, blocks: int, seed: int) -> Graph:
+    """The weighted ``planted`` graph, weights uniform in {0.25, 0.5, ...,
+    2}. The full solver needs hundreds to thousands of ADMM iterations on
+    them at n of 30 to 60."""
+    return planted("weighted", n, blocks, seed)

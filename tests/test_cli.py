@@ -210,13 +210,17 @@ class TestSolve:
 
     def test_huge_vertex_count_rejected(self, tmp_path, capsys):
         # 10**8 vertices need a 71 PiB coefficient matrix, far past any
-        # address space, so the allocation fails at once
+        # address space, so the allocation fails at once; exact refuses the
+        # size before it allocates anything
         path = tmp_path / "huge.txt"
-        for text in ("0 100000000\n", "# n: 100000000\n0 1\n"):
+        for n, text in ((100000001, "0 100000000\n"), (100000000, "# n: 100000000\n0 1\n")):
             path.write_text(text)
-            for command in ("solve", "exact"):
-                assert main([command, "--input", str(path)]) == 2
-                assert "modkit: error: Unable to allocate" in capsys.readouterr().err
+            assert main(["solve", "--input", str(path)]) == 2
+            assert "modkit: error: Unable to allocate" in capsys.readouterr().err
+            assert main(["exact", "--input", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"modkit: error: n={n} exceeds the enumeration limit 12 "
+                f"(Bell({n}) partitions)\n")
 
     def test_out_of_range_weights_rejected(self, tmp_path, capsys):
         # the total weight overflows, W**2 overflows, W**2 underflows to 0
@@ -446,6 +450,45 @@ class TestExact:
             assert main(["exact", "--input", str(path), "--problem", problem,
                          "--limit", "0"]) == 2
             assert "exceeds the enumeration limit 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, n, count", [
+        ("full", 13, "Bell(13) = 27644437 partitions"),
+        ("cut", 21, "2**20 = 1048576 bipartitions"),
+        ("full", 64, "Bell(64) = 17213414335735885093436996366527257112555757518"
+                     "4049758045339873395 partitions"),
+        ("full", 65, "Bell(65) partitions"),
+        ("cut", 64, "2**63 = 9223372036854775808 bipartitions"),
+        ("cut", 65, "2**64 bipartitions"),
+        ("full", 3000, "Bell(3000) partitions"),
+        ("cut", 20000, "2**19999 bipartitions"),
+    ], ids=["full13", "cut21", "full64", "full65", "cut64", "cut65", "full3000", "cut20000"])
+    def test_size_refused_before_the_matrix(self, problem, n, count, tmp_path,
+                                             capsys, monkeypatch):
+        # the count is printed while it is short; past n = 64 Bell(n) alone
+        # would take O(n**2) big-integer additions and may be too long to
+        # print, and the n x n matrix of n = 20000 takes 3 GiB
+        def never(*args, **kwargs):
+            raise AssertionError("build_q called for an oversized graph")
+
+        monkeypatch.setattr(modkit.cli, "build_q", never)
+        path = tmp_path / "big.txt"
+        path.write_text(f"# n: {n}\n0 1\n")
+        assert main(["exact", "--input", str(path), "--problem", problem]) == 2
+        limit = 12 if problem == "full" else 20
+        assert capsys.readouterr().err == (
+            f"modkit: error: n={n} exceeds the enumeration limit {limit} ({count})\n")
+
+
+class TestReportStrings:
+    @pytest.mark.parametrize("command", [["solve", "--trials", "5"], ["exact"]])
+    def test_control_characters_in_the_input_path(self, command, tmp_path):
+        # a tab or newline in a file name is escaped, so the report parses
+        path = tmp_path / 'k2\tgraph\n"x".txt'
+        path.write_text(K2)
+        out = tmp_path / "r.json"
+        assert main([command[0], "--input", str(path), *command[1:],
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["input"] == str(path)
 
 
 class TestBounds:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,34 @@ class TestBlockSizeInvariance:
             got = (exact_full(build_q(g)), exact_cut(build_q(g)))
             assert got == want[name], name
 
+    @pytest.mark.parametrize("rows", [1, 2, 5, 64])
+    def test_chunks_fit_and_join_to_one_chunk(self, rows):
+        # parents go in slices of rows // min(v + 1, labels), at least one,
+        # so every chunk holds at most max(rows, n) strings; with or without
+        # a fixed floor, the chunks join to the one-chunk enumeration, scores
+        # bit for bit
+        rng = np.random.default_rng(3)
+        for full, sizes in ((True, range(1, 9)), (False, range(1, 11))):
+            for n in sizes:
+                q = rng.standard_normal((n, n))
+                q += q.T
+                labels = n if full else 2
+                _, _, _, score = _one_chunk(q, labels)
+                for floor in (None, lambda: np.median(score)):
+                    chunks = list(_rgs_leaves(q, rows, labels, floor))
+                    assert all(len(label) <= max(rows, n) for _, _, label, _ in chunks)
+                    prefixes, parent, label, want = _one_chunk(q, labels, floor)
+                    got = np.concatenate([np.column_stack([p[i], c]) for p, i, c, _ in chunks])
+                    assert np.array_equal(got, np.column_stack([prefixes[parent], label]))
+                    assert np.concatenate([s for *_, s in chunks]).tobytes() == want.tobytes()
+
+
+def _one_chunk(q, labels, floor=None):
+    """The strings of ``_rgs_leaves`` at a budget that takes each level in one
+    chunk, as that chunk."""
+    chunk, = _rgs_leaves(q, 1 << 20, labels, floor)
+    return chunk
+
 
 class TestIncrementalFilter:
     """Both oracles sum each string's score vertex by vertex and re-score
@@ -307,6 +337,62 @@ class TestBranchAndBound:
                 dive, dive_score = _dive(q, labels)
                 k, = np.flatnonzero((codes == dive).all(1))
                 assert score[k].hex() == dive_score.hex(), (name, labels)
+
+
+def _triangle_lp(q):
+    """A maximizer of sum_(i != j) q_ij x_ij over 0 <= x <= 1 and the
+    triangle inequalities x_ab + x_bc - x_ac <= 1, by scipy's HiGHS, as a
+    symmetric 0/1-or-fractional array with a zero diagonal."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    n = len(q)
+    i, j = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), int)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    a, b, c = np.array(list(itertools.combinations(range(n), 3))).reshape(-1, 3).T
+    ab, ac, bc = pair[a, b], pair[a, c], pair[b, c]
+    # each triangle's three rows: two pairs together force the third
+    cols = np.concatenate([ab, ab, ac, bc, ac, bc, ac, bc, ab])
+    count = 3 * len(a)
+    rows = np.tile(np.arange(count), 3)
+    signs = np.repeat([1.0, 1.0, -1.0], count)
+    bounds = csr_matrix((signs, (rows, cols)), shape=(count, len(i)))
+    res = linprog(-(q + q.T)[i, j], A_ub=bounds, b_ub=np.ones(count), bounds=(0, 1),
+                  method="highs")
+    assert res.status == 0, res.message
+    x = np.zeros((n, n))
+    x[i, j] = x[j, i] = res.x
+    return x
+
+
+class TestSoundnessPastTheOracles:
+    """Past the default limits each bound still holds, with no tolerance: a
+    failure is a soundness finding about the graph it names. The graphs
+    were fixed before any result was seen."""
+
+    @pytest.mark.parametrize("variant, n", [
+        ("undirected", 21), ("weighted", 22), ("undirected", 23), ("weighted", 24),
+    ])
+    def test_cut_optimum_between_best_and_bound(self, variant, n):
+        qm = build_q(fixtures.planted(variant, n, 2, seed=n))
+        opt = exact_cut(qm, limit=24).opt_value
+        _, report = round_cut(qm, solve_cut_sdp(qm), trials=200, seed=1)
+        assert report.best_score <= opt <= report.upper_bound
+
+    @pytest.mark.parametrize("variant, n", [
+        ("undirected", 13), ("weighted", 14), ("directed", 15), ("bipartite", 16),
+        ("undirected", 17), ("weighted", 18), ("directed", 19), ("bipartite", 20),
+    ])
+    def test_full_bound_above_the_lp_partition(self, variant, n):
+        # The triangle LP is integral on all but directed n = 15, where some
+        # x_ij are 1/2; its pairs above 1/2 give a feasible partition either
+        # way, and where the LP is integral that partition is an optimum
+        from scipy.sparse.csgraph import connected_components
+
+        qm = build_q(fixtures.planted(variant, n, 3, seed=n))
+        _, labels = connected_components(_triangle_lp(qm.entries) > 0.5, directed=False)
+        assert solve_full_sdp(qm).upper_bound >= code_scores(qm, labels[None])[0]
 
 
 def test_rounding_at_the_optimum_reports_its_bits():
